@@ -48,9 +48,9 @@ impl QueueOrder {
     }
 }
 
-/// Why a [`SchedulerPolicy`] or [`FleetSpec`] is not a valid
-/// configuration. Returned by the `validate` constructors so callers
-/// (builders, CLI flag parsing) can reject bad specs with a typed,
+/// Why a [`SchedulerPolicy`], [`FleetSpec`] or serving traffic spec is
+/// not a valid configuration. Returned by the `validate` constructors so
+/// callers (builders, CLI flag parsing) can reject bad specs with a typed,
 /// printable reason instead of a panic deep inside a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecError {
@@ -62,6 +62,10 @@ pub enum SpecError {
     NoReplicas,
     /// A disaggregated fleet with zero prefill or zero decode chips.
     EmptyDisaggregatedStage,
+    /// A traffic arrival rate that is not positive and finite.
+    BadArrivalRate,
+    /// A bursty arrival process with zero requests per burst.
+    EmptyBurst,
 }
 
 impl fmt::Display for SpecError {
@@ -77,6 +81,8 @@ impl fmt::Display for SpecError {
             SpecError::EmptyDisaggregatedStage => {
                 write!(f, "both disaggregated stages need at least one chip")
             }
+            SpecError::BadArrivalRate => write!(f, "arrival rate must be positive and finite"),
+            SpecError::EmptyBurst => write!(f, "a burst must hold at least one request"),
         }
     }
 }

@@ -94,7 +94,7 @@ mod traffic;
 pub use attribution::{LatencyAttribution, SlaForensics, SlaViolation, LATENCY_BUCKETS};
 pub use fault::{FaultEvent, FaultKind, FaultSpec, FaultSpecError, RetryPolicy};
 pub use fleet::{Fleet, FleetReport, ReplicaImbalance};
-pub use fusemax_dse::{FleetSpec, QueueOrder, RouterPolicy, SchedulerPolicy};
+pub use fusemax_dse::{FleetSpec, QueueOrder, RouterPolicy, SchedulerPolicy, SpecError};
 pub use objective::{ScenarioRanking, ServeObjective, ServeScore, Sla};
 pub use report::{FaultStats, LatencyStats, ServeReport};
 pub use sim::{RunSamples, ServeSim, ServeSimBuilder};

@@ -355,17 +355,6 @@ impl ServeObjective {
         });
         scored
     }
-
-    /// The best design under this objective, if any were given.
-    #[deprecated(note = "use `rank(..).into_iter().next()`, or search with \
-                         `Sweeper::with_objective` to optimize in the loop")]
-    pub fn best(
-        &self,
-        evaluations: &[Arc<Evaluation>],
-        params: &ModelParams,
-    ) -> Option<(Arc<Evaluation>, ServeScore)> {
-        self.rank(evaluations, params).into_iter().next()
-    }
 }
 
 impl Objective for ServeObjective {

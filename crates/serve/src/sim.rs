@@ -38,13 +38,14 @@ use crate::attribution::LatencyAttribution;
 use crate::fault::ReplicaFaults;
 use crate::report::{LatencyStats, ServeReport};
 use crate::table::ServiceTimeTable;
-use crate::traffic::Trace;
+use crate::traffic::{Request, Trace};
 use fusemax_arch::ArchConfig;
 use fusemax_dse::{DesignPoint, QueueOrder, SchedulerPolicy};
 use fusemax_model::{ConfigKind, ModelParams};
 use fusemax_telemetry::{Event, Recorder, ServeEvent};
 use fusemax_workloads::TransformerConfig;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One resident request mid-flight.
 struct Active {
@@ -70,6 +71,57 @@ struct Active {
     prefill_busy_s: f64,
     /// Recorded time-to-first-token (attribution only).
     ttft_s: f64,
+}
+
+/// The waiting queue, and the one place the queue order is decided.
+///
+/// Requests are keyed `(order key, trace index)`: the order key is the
+/// prompt length under shortest-prompt-first and 0 under FCFS, so FCFS
+/// is arrival order and SPF breaks ties by arrival. A min-heap on that key
+/// makes each admission O(log n) in the queue length.
+struct WaitingQueue {
+    order: QueueOrder,
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
+}
+
+impl WaitingQueue {
+    fn new(order: QueueOrder) -> Self {
+        WaitingQueue { order, heap: BinaryHeap::new() }
+    }
+
+    /// Enqueues trace request `idx`.
+    fn push(&mut self, idx: usize, req: &Request) {
+        let key = match self.order {
+            QueueOrder::Fcfs => 0,
+            QueueOrder::ShortestPromptFirst => req.prompt_tokens,
+        };
+        self.heap.push(Reverse((key, idx)));
+    }
+
+    /// The trace index the policy admits next.
+    fn peek(&self) -> Option<usize> {
+        self.heap.peek().map(|&Reverse((_, idx))| idx)
+    }
+
+    /// Dequeues the request [`peek`](Self::peek) returned.
+    fn pop(&mut self) {
+        self.heap.pop();
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Every waiting trace index, in ascending (arrival) order.
+    fn ascending(&self) -> Vec<usize> {
+        let mut waiting: Vec<usize> = self.heap.iter().map(|&Reverse((_, idx))| idx).collect();
+        waiting.sort_unstable();
+        waiting
+    }
 }
 
 /// A deterministic discrete-event serving simulator for one design point.
@@ -197,34 +249,9 @@ impl ServeSim {
         }
     }
 
-    /// A simulator with the default policy and no recorder.
-    #[deprecated(note = "use `ServeSim::builder(kind, arch, workload, params).build()`")]
-    pub fn new(
-        kind: ConfigKind,
-        arch: ArchConfig,
-        workload: TransformerConfig,
-        params: ModelParams,
-    ) -> Self {
-        Self::builder(kind, arch, workload, params).build()
-    }
-
-    /// Replaces the scheduler policy.
-    #[deprecated(note = "use `ServeSim::builder(...).policy(...)`")]
-    pub fn with_policy(mut self, policy: SchedulerPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The scheduler policy replays run under.
     pub fn policy(&self) -> SchedulerPolicy {
         self.policy
-    }
-
-    /// Attaches a telemetry recorder.
-    #[deprecated(note = "use `ServeSim::builder(...).recorder(...)`")]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// A simulator for a DSE design point: the point's configuration,
@@ -325,7 +352,7 @@ impl ServeSim {
         let mut clock = 0.0f64;
         let mut busy = 0.0f64;
         let mut next = 0usize; // next trace request not yet arrived
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut queue = WaitingQueue::new(self.policy.queue_order);
         let mut active: Vec<Active> = Vec::new();
         let mut resident_bytes = 0u64;
         let mut peak_resident_bytes = 0u64;
@@ -342,6 +369,9 @@ impl ServeSim {
 
         let unbounded = self.policy.is_unbounded();
         let ratio = self.policy.waiting_served_ratio;
+        // Per-iteration buffers, cleared rather than reallocated.
+        let mut granted: Vec<Option<usize>> = Vec::new();
+        let mut charged: Vec<f64> = Vec::new();
 
         loop {
             // Pull every request that has arrived by now into the
@@ -352,7 +382,7 @@ impl ServeSim {
                 if !unbounded {
                     self.recorder.emit(|| Event::serve(at, ServeEvent::Enqueue { req }));
                 }
-                queue.push_back(next);
+                queue.push(next, &reqs[next]);
                 next += 1;
             }
             if active.is_empty() && queue.is_empty() {
@@ -370,14 +400,7 @@ impl ServeSim {
             // enough relative to the resident batch). An empty engine
             // always admits its first request — one larger than the
             // buffer streams through DRAM rather than being unservable.
-            loop {
-                let pos = match self.policy.queue_order {
-                    QueueOrder::Fcfs => 0,
-                    QueueOrder::ShortestPromptFirst => (0..queue.len())
-                        .min_by_key(|&j| (reqs[queue[j]].prompt_tokens, queue[j]))
-                        .unwrap_or(0),
-                };
-                let Some(&i) = queue.get(pos) else { break };
+            while let Some(i) = queue.peek() {
                 let bytes = self.request_kv_bytes(reqs[i].prompt_tokens, reqs[i].output_tokens);
                 if !active.is_empty() && resident_bytes + bytes > buffer {
                     break;
@@ -388,7 +411,7 @@ impl ServeSim {
                 {
                     break;
                 }
-                queue.remove(pos);
+                queue.pop();
                 let req = reqs[i].id as u64;
                 if !unbounded {
                     self.recorder.emit(|| Event::serve(clock, ServeEvent::Dequeue { req }));
@@ -428,11 +451,11 @@ impl ServeSim {
             // this iteration (`None` = starved by the chunk budget).
             let mut step = 0.0f64;
             let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
-            let mut granted: Vec<Option<usize>> = Vec::with_capacity(active.len());
+            granted.clear();
             // Prefill seconds charged to each active request this
             // iteration (attribution only; `step` accumulates the exact
             // same values in the exact same order as before).
-            let mut charged: Vec<f64> = Vec::with_capacity(active.len());
+            charged.clear();
             for a in &active {
                 let mut cost = 0.0f64;
                 let grant = if a.prefilled {
@@ -510,37 +533,35 @@ impl ServeSim {
                     ttft.push(t);
                 }
             }
-            // Retire finished requests (prefill covers the first output
-            // token, so `remaining == 0` right after prefill is complete
-            // for single-token outputs).
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].prefilled && active[i].remaining == 0 {
-                    let a = active.remove(i);
-                    let r = &reqs[a.idx];
-                    let req = r.id as u64;
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
-                    resident_bytes -= a.kv_bytes;
-                    completed += 1;
-                    output_tokens += r.output_tokens;
-                    completions.push((r.id, clock));
-                    let e2e_s = clock - r.arrival_s;
-                    e2e.push(e2e_s);
-                    attributions.push(LatencyAttribution::from_run(
-                        r.id,
-                        r.arrival_s,
-                        a.admit_s,
-                        a.prefill_busy_s,
-                        if self.start_prefilled { None } else { Some(a.ttft_s) },
-                        e2e_s,
-                    ));
-                    if r.output_tokens > 1 {
-                        tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
-                    }
-                } else {
-                    i += 1;
+            // Retire finished requests in one order-preserving sweep
+            // (prefill covers the first output token, so `remaining == 0`
+            // right after prefill is complete for single-token outputs).
+            active.retain(|a| {
+                if !(a.prefilled && a.remaining == 0) {
+                    return true;
                 }
-            }
+                let r = &reqs[a.idx];
+                let req = r.id as u64;
+                self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
+                resident_bytes -= a.kv_bytes;
+                completed += 1;
+                output_tokens += r.output_tokens;
+                completions.push((r.id, clock));
+                let e2e_s = clock - r.arrival_s;
+                e2e.push(e2e_s);
+                attributions.push(LatencyAttribution::from_run(
+                    r.id,
+                    r.arrival_s,
+                    a.admit_s,
+                    a.prefill_busy_s,
+                    if self.start_prefilled { None } else { Some(a.ttft_s) },
+                    e2e_s,
+                ));
+                if r.output_tokens > 1 {
+                    tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
+                }
+                false
+            });
         }
 
         let makespan = clock;
@@ -603,7 +624,7 @@ impl ServeSim {
         let mut clock = 0.0f64;
         let mut busy = 0.0f64;
         let mut next = 0usize;
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut queue = WaitingQueue::new(self.policy.queue_order);
         let mut active: Vec<Active> = Vec::new();
         let mut resident_bytes = 0u64;
         let mut peak_resident_bytes = 0u64;
@@ -623,6 +644,12 @@ impl ServeSim {
 
         let unbounded = self.policy.is_unbounded();
         let ratio = self.policy.waiting_served_ratio;
+        // Per-iteration buffers, cleared rather than reallocated.
+        let mut granted: Vec<Option<usize>> = Vec::new();
+        let mut charged: Vec<f64> = Vec::new();
+        // Prefill narration held back until the iteration commits.
+        let mut pending: Vec<Event> = Vec::new();
+        let narrate = self.recorder.is_enabled();
 
         loop {
             while next < reqs.len() && reqs[next].arrival_s <= clock {
@@ -631,7 +658,7 @@ impl ServeSim {
                 if !unbounded {
                     self.recorder.emit(|| Event::serve(at, ServeEvent::Enqueue { req }));
                 }
-                queue.push_back(next);
+                queue.push(next, &reqs[next]);
                 next += 1;
             }
             if active.is_empty() && queue.is_empty() {
@@ -648,14 +675,7 @@ impl ServeSim {
                 continue;
             }
 
-            loop {
-                let pos = match self.policy.queue_order {
-                    QueueOrder::Fcfs => 0,
-                    QueueOrder::ShortestPromptFirst => (0..queue.len())
-                        .min_by_key(|&j| (reqs[queue[j]].prompt_tokens, queue[j]))
-                        .unwrap_or(0),
-                };
-                let Some(&i) = queue.get(pos) else { break };
+            while let Some(i) = queue.peek() {
                 let bytes = self.request_kv_bytes(reqs[i].prompt_tokens, reqs[i].output_tokens);
                 if !active.is_empty() && resident_bytes + bytes > buffer {
                     break;
@@ -666,7 +686,7 @@ impl ServeSim {
                 {
                     break;
                 }
-                queue.remove(pos);
+                queue.pop();
                 let req = reqs[i].id as u64;
                 if !unbounded {
                     self.recorder.emit(|| Event::serve(clock, ServeEvent::Dequeue { req }));
@@ -699,11 +719,8 @@ impl ServeSim {
             let (compute_mult, dram_mult) = faults.multipliers_at(clock);
             let mut step = 0.0f64;
             let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
-            let mut granted: Vec<Option<usize>> = Vec::with_capacity(active.len());
-            let mut charged: Vec<f64> = Vec::with_capacity(active.len());
-            // Prefill narration held back until the iteration commits.
-            let mut pending: Vec<Event> = Vec::new();
-            let narrate = self.recorder.is_enabled();
+            granted.clear();
+            charged.clear();
             for a in &active {
                 let mut cost = 0.0f64;
                 let grant = if a.prefilled {
@@ -756,7 +773,7 @@ impl ServeSim {
                 died = true;
                 break;
             }
-            self.recorder.publish(pending);
+            self.recorder.publish(pending.drain(..));
             clock += step;
             busy += step;
             iterations += 1;
@@ -788,41 +805,39 @@ impl ServeSim {
                     ttft.push(t);
                 }
             }
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].prefilled && active[i].remaining == 0 {
-                    let a = active.remove(i);
-                    let r = &reqs[a.idx];
-                    let req = r.id as u64;
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
-                    resident_bytes -= a.kv_bytes;
-                    completed += 1;
-                    output_tokens += r.output_tokens;
-                    completions.push((r.id, clock));
-                    let e2e_s = clock - r.arrival_s;
-                    e2e.push(e2e_s);
-                    attributions.push(LatencyAttribution::from_run(
-                        r.id,
-                        r.arrival_s,
-                        a.admit_s,
-                        a.prefill_busy_s,
-                        if self.start_prefilled { None } else { Some(a.ttft_s) },
-                        e2e_s,
-                    ));
-                    if r.output_tokens > 1 {
-                        tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
-                    }
-                } else {
-                    i += 1;
+            active.retain(|a| {
+                if !(a.prefilled && a.remaining == 0) {
+                    return true;
                 }
-            }
+                let r = &reqs[a.idx];
+                let req = r.id as u64;
+                self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
+                resident_bytes -= a.kv_bytes;
+                completed += 1;
+                output_tokens += r.output_tokens;
+                completions.push((r.id, clock));
+                let e2e_s = clock - r.arrival_s;
+                e2e.push(e2e_s);
+                attributions.push(LatencyAttribution::from_run(
+                    r.id,
+                    r.arrival_s,
+                    a.admit_s,
+                    a.prefill_busy_s,
+                    if self.start_prefilled { None } else { Some(a.ttft_s) },
+                    e2e_s,
+                ));
+                if r.output_tokens > 1 {
+                    tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
+                }
+                false
+            });
         }
 
         if died {
             // Everything still on the chip loses its K/V state; everything
             // waiting (or not yet arrived but routed here) never ran.
             lost_active.extend(active.iter().map(|a| reqs[a.idx].id));
-            lost_waiting.extend(queue.iter().map(|&i| reqs[i].id));
+            lost_waiting.extend(queue.ascending().into_iter().map(|i| reqs[i].id));
             lost_waiting.extend(reqs[next..].iter().map(|r| r.id));
         }
 
@@ -1217,22 +1232,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_match_the_builder() {
-        let trace = small_trace(300.0, 30);
-        let kind = ConfigKind::FuseMaxBinding;
-        let shimmed = ServeSim::new(
-            kind,
-            kind.default_arch(),
-            TransformerConfig::bert(),
-            ModelParams::default(),
-        )
-        .with_policy(SchedulerPolicy::chunked(256));
-        let built = bert_builder(kind).policy(SchedulerPolicy::chunked(256)).build();
-        assert_eq!(shimmed.run(&trace), built.run(&trace));
-    }
-
-    #[test]
     fn sampled_runs_return_the_quantile_sample_multisets() {
         let trace = small_trace(300.0, 40);
         let sim = bert_sim(ConfigKind::FuseMaxBinding);
@@ -1283,40 +1282,91 @@ mod tests {
         assert!(report.iterations >= 7);
     }
 
+    /// The policies both replay loops are checked under: whole-prompt
+    /// FCFS, chunk512/SPF and whole-prompt SPF.
+    fn queue_policies() -> [SchedulerPolicy; 3] {
+        let spf = QueueOrder::ShortestPromptFirst;
+        [
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(512).with_queue_order(spf),
+            SchedulerPolicy::unbounded().with_queue_order(spf),
+        ]
+    }
+
+    /// Dense enough that requests queue behind the batch, so SPF reorders
+    /// admissions and a fail-stop strands queued requests.
+    fn queued_trace() -> Trace {
+        small_trace(3000.0, 60)
+    }
+
     #[test]
     fn fault_free_faulted_run_matches_the_legacy_engine() {
-        let trace = small_trace(300.0, 50);
-        let sim = bert_sim(ConfigKind::FuseMaxBinding);
-        let costs = sim.service_times(&trace);
-        let (report, samples) = sim.run_sampled_with(&costs, &trace);
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
-        assert_eq!(outcome.report, report, "×1.0 multipliers must be bit-exact");
-        assert_eq!(outcome.samples, samples);
-        assert!(outcome.lost_active.is_empty() && outcome.lost_waiting.is_empty());
+        use fusemax_telemetry::VecSink;
+        let trace = queued_trace();
+        let mut whole_prompt_completions = Vec::new();
+        for policy in queue_policies() {
+            let (legacy_recorder, legacy_sink) = VecSink::recorder();
+            let (faulted_recorder, faulted_sink) = VecSink::recorder();
+            let sim = |recorder| {
+                bert_builder(ConfigKind::FuseMaxBinding).policy(policy).recorder(recorder).build()
+            };
+            let (legacy, faulted) = (sim(legacy_recorder), sim(faulted_recorder));
+            let costs = legacy.service_times(&trace);
+            let (report, samples) = legacy.run_sampled_with(&costs, &trace);
+            let outcome = faulted.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
+            assert_eq!(outcome.report, report, "{policy}: ×1.0 multipliers must be bit-exact");
+            assert_eq!(outcome.samples, samples, "{policy}");
+            assert_eq!(faulted_sink.events(), legacy_sink.events(), "{policy}: event streams");
+            assert!(outcome.lost_active.is_empty() && outcome.lost_waiting.is_empty());
+            if policy.chunk_tokens.is_none() {
+                whole_prompt_completions.push(samples.completions);
+            }
+        }
+        assert_ne!(
+            whole_prompt_completions[0], whole_prompt_completions[1],
+            "the trace must queue deeply enough for SPF to reorder admissions"
+        );
     }
 
     #[test]
     fn a_fail_stop_loses_residents_and_waiters_exactly_once() {
-        let trace = small_trace(300.0, 50);
-        let sim = bert_sim(ConfigKind::FuseMaxBinding);
-        let costs = sim.service_times(&trace);
-        let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
-        let mid = healthy.report.makespan_s / 2.0;
-        let faults = ReplicaFaults { horizon_s: mid, slowdowns: vec![(0.0, 1.0, 1.0)] };
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
-        assert!(outcome.report.completed < 50, "a mid-trace death must lose requests");
-        assert!(outcome.report.makespan_s <= mid, "no work commits past the fail-stop");
-        // Conservation: completed + lost covers the trace exactly once.
-        let mut ids: Vec<usize> = outcome.samples.completions.iter().map(|&(id, _)| id).collect();
-        ids.extend(&outcome.lost_active);
-        ids.extend(&outcome.lost_waiting);
-        ids.sort_unstable();
-        assert_eq!(ids, (0..50).collect::<Vec<_>>());
-        // Replay is bit-identical.
-        let again = sim.run_sampled_faulted(&costs, &trace, &faults);
-        assert_eq!(again.report, outcome.report);
-        assert_eq!(again.lost_active, outcome.lost_active);
-        assert_eq!(again.lost_waiting, outcome.lost_waiting);
+        let trace = queued_trace();
+        for policy in queue_policies() {
+            let sim = bert_builder(ConfigKind::FuseMaxBinding).policy(policy).build();
+            let costs = sim.service_times(&trace);
+            let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
+            let mid = healthy.report.makespan_s / 2.0;
+            let faults = ReplicaFaults { horizon_s: mid, slowdowns: vec![(0.0, 1.0, 1.0)] };
+            let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
+            assert!(
+                outcome.report.completed < 60,
+                "{policy}: a mid-trace death must lose requests"
+            );
+            assert!(
+                outcome.report.makespan_s <= mid,
+                "{policy}: no work commits past the fail-stop"
+            );
+            assert!(
+                outcome.lost_waiting.iter().any(|&id| trace.requests[id].arrival_s <= mid),
+                "{policy}: the fail-stop must strand requests already queued"
+            );
+            assert!(
+                outcome.lost_waiting.windows(2).all(|w| w[0] < w[1]),
+                "{policy}: waiting requests are lost in arrival order"
+            );
+            // Conservation: completed + lost covers the trace exactly once.
+            let mut ids: Vec<usize> =
+                outcome.samples.completions.iter().map(|&(id, _)| id).collect();
+            ids.extend(&outcome.lost_active);
+            ids.extend(&outcome.lost_waiting);
+            ids.sort_unstable();
+            assert_eq!(ids, (0..60).collect::<Vec<_>>(), "{policy}");
+            // Replay is bit-identical.
+            let again = sim.run_sampled_faulted(&costs, &trace, &faults);
+            assert_eq!(again.report, outcome.report, "{policy}");
+            assert_eq!(again.lost_active, outcome.lost_active, "{policy}");
+            assert_eq!(again.lost_waiting, outcome.lost_waiting, "{policy}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use fusemax_arch::ArchConfig;
 use fusemax_dse::SchedulerPolicy;
 use fusemax_model::{e2e_report_on, ConfigKind, ModelParams};
 use fusemax_workloads::TransformerConfig;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Phase service times for one `(configuration, architecture, workload)`
@@ -43,8 +43,11 @@ pub struct ServiceTimeTable {
     /// scheduler decides how many requests share the chip).
     workload: TransformerConfig,
     params: ModelParams,
-    prefill_s: HashMap<usize, f64>,
-    decode_s_per_token: HashMap<usize, f64>,
+    prefill_s: BTreeMap<usize, f64>,
+    /// Per-token decode seconds by power-of-two bucket, indexed by the
+    /// bucket's exponent (`trailing_zeros`); `None` outside the range the
+    /// trace decodes in.
+    decode_s_per_token: Vec<Option<f64>>,
     /// Analytical-model calls spent building the table.
     model_evaluations: usize,
     /// Lookups that fell outside the precomputed set and paid for an
@@ -70,8 +73,8 @@ impl ServiceTimeTable {
             arch,
             workload,
             params,
-            prefill_s: HashMap::new(),
-            decode_s_per_token: HashMap::new(),
+            prefill_s: BTreeMap::new(),
+            decode_s_per_token: Vec::new(),
             model_evaluations: 0,
             misses: AtomicU64::new(0),
         };
@@ -100,10 +103,11 @@ impl ServiceTimeTable {
         if let Some((lo, hi)) = decode_range {
             let top = hi.max(1).next_power_of_two();
             let mut bucket = lo.max(1).next_power_of_two();
+            table.decode_s_per_token = vec![None; top.trailing_zeros() as usize + 1];
             loop {
                 let s = table.e2e_seconds(bucket) / bucket as f64;
                 table.model_evaluations += 1;
-                table.decode_s_per_token.insert(bucket, s);
+                table.decode_s_per_token[bucket.trailing_zeros() as usize] = Some(s);
                 if bucket >= top {
                     break;
                 }
@@ -188,12 +192,14 @@ impl ServiceTimeTable {
 
     /// Seconds to decode one token at context length `context`, amortized
     /// from the analytical report (`e2e(L) / L` per token) at the next
-    /// power-of-two bucket.
+    /// power-of-two bucket. Precomputed buckets are a direct index by the
+    /// bucket's exponent; anything else falls back to an on-demand model
+    /// call and bumps [`ServiceTimeTable::misses`].
     pub fn decode_seconds(&self, context: usize) -> f64 {
         let bucket = context.max(1).next_power_of_two();
-        match self.decode_s_per_token.get(&bucket) {
-            Some(&s) => s,
-            None => {
+        match self.decode_s_per_token.get(bucket.trailing_zeros() as usize) {
+            Some(&Some(s)) => s,
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.e2e_seconds(bucket) / bucket as f64
             }

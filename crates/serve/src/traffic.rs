@@ -6,6 +6,7 @@
 //! points, and two generations from the same [`TrafficSpec`] and seed are
 //! bit-identical.
 
+use fusemax_dse::SpecError;
 use rand::distributions::{Distribution, Exp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,6 +88,16 @@ pub enum Arrivals {
         /// Requests per burst (≥ 1).
         burst: usize,
     },
+}
+
+impl Arrivals {
+    /// The mean rate and the requests per burst (1 for Poisson).
+    fn rate_and_burst(self) -> (f64, usize) {
+        match self {
+            Arrivals::Poisson { rate_per_s } => (rate_per_s, 1),
+            Arrivals::Bursty { rate_per_s, burst } => (rate_per_s, burst),
+        }
+    }
 }
 
 /// A discrete mix over token lengths: each `(tokens, weight)` choice is
@@ -179,28 +190,40 @@ pub struct TrafficSpec {
 }
 
 impl TrafficSpec {
+    /// Checks the arrival process: the rate must be positive and finite,
+    /// and a bursty process needs at least one request per burst. Specs
+    /// assembled from external input (CLI flags) get a typed, printable
+    /// reason here instead of a panic in [`TrafficSpec::generate`].
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let (rate_per_s, burst) = self.arrivals.rate_and_burst();
+        if burst == 0 {
+            return Err(SpecError::EmptyBurst);
+        }
+        // Gaps separate bursts at `rate / burst`; that per-gap rate must
+        // be positive too, so an underflowing one is rejected as well.
+        if !(rate_per_s.is_finite() && rate_per_s / burst as f64 > 0.0) {
+            return Err(SpecError::BadArrivalRate);
+        }
+        Ok(())
+    }
+
     /// Compiles the spec into a replayable [`Trace`], fully determined by
     /// `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if the arrival rate is non-positive or a bursty process has
-    /// `burst = 0`.
+    /// Panics if [`TrafficSpec::validate`] rejects the spec.
     pub fn generate(&self, seed: u64) -> Trace {
+        if let Err(e) = self.validate() {
+            panic!("invalid traffic spec: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut requests = Vec::with_capacity(self.requests);
         let mut clock = 0.0f64;
-        let gap_dist = match self.arrivals {
-            Arrivals::Poisson { rate_per_s } => {
-                Exp::new(rate_per_s).expect("arrival rate must be positive")
-            }
-            Arrivals::Bursty { rate_per_s, burst } => {
-                assert!(burst > 0, "bursts must hold at least one request");
-                // Gaps separate bursts, so the per-gap rate is scaled down
-                // by the burst size to keep the mean request rate.
-                Exp::new(rate_per_s / burst as f64).expect("arrival rate must be positive")
-            }
-        };
+        // Gaps separate bursts, so the per-gap rate is scaled down by the
+        // burst size to keep the mean request rate (Poisson is burst 1).
+        let (rate_per_s, per_burst) = self.arrivals.rate_and_burst();
+        let gap_dist = Exp::new(rate_per_s / per_burst as f64).expect("validated arrival rate");
         for id in 0..self.requests {
             let new_burst = match self.arrivals {
                 Arrivals::Poisson { .. } => true,
@@ -295,6 +318,26 @@ mod tests {
         assert_eq!(trace.last_arrival_s(), 2.0);
         assert_eq!(trace.offered_rate_rps(), 1.0);
         assert!(Trace::default().is_empty());
+    }
+
+    #[test]
+    fn validate_rejects_bad_rates_and_empty_bursts() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let poisson = spec(Arrivals::Poisson { rate_per_s: rate });
+            assert_eq!(poisson.validate(), Err(SpecError::BadArrivalRate), "{rate}");
+            let bursty = spec(Arrivals::Bursty { rate_per_s: rate, burst: 4 });
+            assert_eq!(bursty.validate(), Err(SpecError::BadArrivalRate), "{rate}");
+        }
+        let empty_burst = spec(Arrivals::Bursty { rate_per_s: 10.0, burst: 0 });
+        assert_eq!(empty_burst.validate(), Err(SpecError::EmptyBurst));
+        assert_eq!(spec(Arrivals::Poisson { rate_per_s: 10.0 }).validate(), Ok(()));
+        assert_eq!(spec(Arrivals::Bursty { rate_per_s: 10.0, burst: 5 }).validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite")]
+    fn generating_an_invalid_spec_panics_with_the_typed_reason() {
+        let _ = spec(Arrivals::Poisson { rate_per_s: 0.0 }).generate(1);
     }
 
     #[test]

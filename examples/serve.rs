@@ -100,6 +100,9 @@ fn main() {
         output_mix: LengthMix::uniform([8, 32]),
         requests,
     };
+    if let Err(e) = spec.validate() {
+        panic!("invalid traffic spec: {e}");
+    }
     let trace = spec.generate(seed);
     println!(
         "Trace: {} requests over {:.2}s ({:.0} req/s offered), {} prompt + {} output tokens",

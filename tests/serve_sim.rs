@@ -371,8 +371,10 @@ proptest! {
     /// Chunked-trace conservation (ISSUE 7): under arbitrary scheduler
     /// policies every request still completes exactly once, each
     /// request's prefill chunks sum to exactly its prompt, no iteration
-    /// grants more prefill tokens than the chunk budget, and residency
-    /// stays within the buffer-derived bound.
+    /// grants more prefill tokens than the chunk budget, residency stays
+    /// within the buffer-derived bound, and every admission takes the
+    /// queue order's first waiting request — the smallest
+    /// `(prompt_tokens, id)` under SPF, the earliest arrival under FCFS.
     #[test]
     fn chunked_serve_sim_conserves_requests_and_respects_the_budget(
         seed in 0u64..1_000_000_000,
@@ -425,12 +427,27 @@ proptest! {
         prop_assert!(report.peak_resident_bytes <= report.buffer_bytes.max(largest));
 
         // Walk the event stream: per-request chunk sums must equal the
-        // prompt, and no iteration may grant more than the chunk budget.
+        // prompt, no iteration may grant more than the chunk budget, and
+        // each admission must be the first of the arrived, unadmitted
+        // requests by `(order key, id)`. The 512/4096 prompt mix makes
+        // SPF ties common, so this pins their arrival-order tie-break.
         let mut prefilled = std::collections::HashMap::new();
+        let mut waiting = std::collections::BTreeSet::new();
+        let order_key = |req: u64| match order {
+            QueueOrder::Fcfs => 0,
+            QueueOrder::ShortestPromptFirst => trace.requests[req as usize].prompt_tokens,
+        };
         let mut iter_tokens = 0usize;
         let mut completions = 0usize;
         for event in sink.events() {
             match event {
+                Event::Serve { kind: ServeEvent::Arrive { req }, .. } => {
+                    waiting.insert((order_key(req), req));
+                }
+                Event::Serve { kind: ServeEvent::Admit { req }, .. } => {
+                    let first = waiting.pop_first().map(|(_, first)| first);
+                    prop_assert_eq!(first, Some(req), "{} admitted out of queue order", req);
+                }
                 Event::Serve { kind: ServeEvent::PrefillChunk { req, tokens, remaining }, .. } => {
                     prop_assert!(tokens <= chunk, "chunk {} exceeds budget {}", tokens, chunk);
                     iter_tokens += tokens;
