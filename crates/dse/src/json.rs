@@ -13,38 +13,9 @@ use crate::space::{DesignPoint, FleetSpec, QueueOrder, RouterPolicy, SchedulerPo
 use crate::sweep::{Evaluation, SweepOutcome};
 use fusemax_arch::{ArchConfig, EnergyBreakdown, ExpCost, PeKind};
 use fusemax_model::{AttentionReport, ConfigKind};
+use fusemax_telemetry::json::{num, quoted};
 use fusemax_workloads::TransformerConfig;
-use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// A finite `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:e}")
-    } else {
-        "null".into()
-    }
-}
-
-/// A string as a JSON string literal (the workspace's names are plain
-/// ASCII, but escape the JSON-special characters anyway).
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn evaluation_object(e: &Evaluation) -> String {
     format!(

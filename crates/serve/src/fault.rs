@@ -5,8 +5,8 @@
 //! clock — the same contract as [`crate::TrafficSpec`]: plain data, fully
 //! determined by its inputs, and two runs of the same spec against the
 //! same trace are bit-identical. An **empty** spec is the explicit no-op:
-//! [`crate::Fleet`] short-circuits to the legacy fault-free code path, so
-//! checked-in golden traces and reports stay byte-for-byte unchanged.
+//! [`crate::Fleet`] takes its fault-free paths, so checked-in golden
+//! traces and reports stay byte-for-byte unchanged.
 //!
 //! The timeline compiles ([`FaultSpec::segments`]) into per-replica
 //! *up-time segments*: half-open `[start, end)` windows during which the
@@ -116,8 +116,8 @@ impl RetryPolicy {
 /// the fleet reacts to it.
 ///
 /// The default / [`FaultSpec::none`] spec has no events and is the
-/// contract-preserving no-op: [`crate::Fleet`] detects it and runs the
-/// legacy byte-identical path.
+/// contract-preserving no-op: [`crate::Fleet`] detects it and runs its
+/// fault-free paths.
 ///
 /// # Example
 ///
@@ -155,7 +155,7 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// The empty spec: no faults, legacy byte-identical replay.
+    /// The empty spec: no faults, the fleet's fault-free replay.
     pub fn none() -> Self {
         FaultSpec { events: Vec::new(), retry: RetryPolicy::default(), shed_watermark: None }
     }
@@ -398,7 +398,10 @@ impl FaultSpec {
 }
 
 /// One continuous up-time window of a replica: alive on `[start_s,
-/// end_s)` with a step function of degradation multipliers.
+/// end_s)` with a step function of degradation multipliers. It is all
+/// one engine run needs to know about its faults
+/// ([`crate::ServeSim::run_window`]); a fault-free replay runs in
+/// [`Segment::healthy_from`]`(0.0)`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Segment {
     /// When the replica came up (inclusive).
@@ -412,7 +415,8 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    fn healthy_from(t_s: f64) -> Self {
+    /// Up from `t_s` forever, healthy throughout.
+    pub fn healthy_from(t_s: f64) -> Self {
         Segment { start_s: t_s, end_s: f64::INFINITY, slowdowns: vec![(t_s, 1.0, 1.0)] }
     }
 
@@ -430,46 +434,6 @@ impl Segment {
         for &step in &self.slowdowns {
             if step.0 <= t {
                 current = step;
-            } else {
-                break;
-            }
-        }
-        current
-    }
-
-    /// The degradation step function restricted to this segment, for the
-    /// per-replica engine run.
-    pub fn replica_faults(&self) -> ReplicaFaults {
-        ReplicaFaults { horizon_s: self.end_s, slowdowns: self.slowdowns.clone() }
-    }
-}
-
-/// What one replica's engine run needs to know about its own faults: when
-/// it dies (`horizon_s`) and how it is degraded over time. A fault-free
-/// run uses [`ReplicaFaults::none`] (infinite horizon, healthy forever).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ReplicaFaults {
-    /// Simulated time at which this replica fail-stops; iterations that
-    /// would finish after this instant never commit.
-    pub horizon_s: f64,
-    /// Multiplier steps `(from_t_s, compute_mult, dram_mult)`, ascending.
-    pub slowdowns: Vec<(f64, f64, f64)>,
-}
-
-impl ReplicaFaults {
-    /// Healthy forever — the engine's faulted path with this value is
-    /// value-identical to the legacy path (`×1.0` is exact in IEEE 754).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn none() -> Self {
-        ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 1.0, 1.0)] }
-    }
-
-    /// `(compute_mult, dram_mult)` in force at time `t`.
-    pub fn multipliers_at(&self, t: f64) -> (f64, f64) {
-        let mut current = (1.0, 1.0);
-        for &(from, cm, dm) in &self.slowdowns {
-            if from <= t {
-                current = (cm, dm);
             } else {
                 break;
             }
@@ -736,17 +700,5 @@ mod tests {
         assert_eq!(r.delay_s(1), 0.05);
         assert_eq!(r.delay_s(2), 0.1);
         assert_eq!(r.delay_s(3), 0.2);
-    }
-
-    #[test]
-    fn replica_faults_step_function() {
-        let rf = ReplicaFaults {
-            horizon_s: 10.0,
-            slowdowns: vec![(0.0, 1.0, 1.0), (2.0, 2.0, 1.0), (4.0, 2.0, 3.0)],
-        };
-        assert_eq!(rf.multipliers_at(0.0), (1.0, 1.0));
-        assert_eq!(rf.multipliers_at(2.0), (2.0, 1.0));
-        assert_eq!(rf.multipliers_at(9.0), (2.0, 3.0));
-        assert_eq!(ReplicaFaults::none().multipliers_at(1e9), (1.0, 1.0));
     }
 }

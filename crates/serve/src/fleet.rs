@@ -203,9 +203,11 @@ impl Fleet {
 
     /// Injects a deterministic fault timeline. An empty spec
     /// ([`FaultSpec::none`]) is the contract-preserving no-op: the run
-    /// takes the legacy fault-free code path and reproduces the golden
-    /// traces and reports byte-for-byte (test-enforced). A non-empty
-    /// spec is validated against the trace horizon at run time.
+    /// takes the fault-free fleet paths and reproduces the golden traces
+    /// and reports byte-for-byte. A non-empty spec is validated against
+    /// the trace horizon at run time; on replicated fleets a timeline
+    /// that changes nothing reproduces the fault-free run byte-for-byte
+    /// (test-enforced).
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self
@@ -248,7 +250,10 @@ impl Fleet {
     pub fn run_detailed(&self, trace: &Trace) -> FleetReport {
         let costs = self.template.service_times(trace);
         if self.faults.is_empty() {
-            // Fault-free: the legacy byte-identical paths, untouched.
+            // The fault-free paths skip `sweep_stage`'s per-request
+            // bookkeeping. On a no-op timeline the replicated paths agree
+            // byte-for-byte (test-enforced); the disaggregated ones place
+            // decode handoffs differently (ROADMAP item 2).
             return match self.spec.prefill_decode {
                 None => self.run_replicated(trace, &costs),
                 Some((p, d)) => self.run_disaggregated(trace, &costs, p.max(1), d.max(1)),
@@ -817,7 +822,6 @@ impl Fleet {
                 a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
             });
             let sub = Trace { requests: bucket.iter().map(|i| i.req).collect() };
-            let rf = segs[k][s].replica_faults();
             let (recorder, sink) = if self.recorder.is_enabled() {
                 let (recorder, sink) = VecSink::recorder();
                 (recorder, Some(sink))
@@ -825,7 +829,7 @@ impl Fleet {
                 (Recorder::disabled(), None)
             };
             let sim = self.template.fleet_replica(recorder, start_prefilled);
-            let run = sim.run_sampled_faulted(costs, &sub, &rf);
+            let run = sim.run_window(costs, &sub, &segs[k][s]);
             if let Some(sink) = sink {
                 chip_events[k].extend(sink.events());
             }
@@ -918,7 +922,7 @@ impl Fleet {
 
     /// Labels the per-chip event streams for [`FleetReport::replica_events`]
     /// — one `(name, events)` entry per chip when traced (even for chips
-    /// that stayed idle), none otherwise, matching the legacy contract.
+    /// that stayed idle), none otherwise, as on the fault-free paths.
     fn name_chip_events(
         &self,
         chip_events: Vec<Vec<Event>>,
@@ -1180,10 +1184,15 @@ mod tests {
     use super::*;
     use crate::fault::RetryPolicy;
     use crate::traffic::{Arrivals, LengthMix, TrafficSpec};
+    use fusemax_dse::{QueueOrder, SchedulerPolicy};
     use fusemax_model::ConfigKind;
     use fusemax_workloads::TransformerConfig;
 
     fn replica() -> ServeSim {
+        replica_under(SchedulerPolicy::unbounded())
+    }
+
+    fn replica_under(policy: SchedulerPolicy) -> ServeSim {
         let kind = ConfigKind::FuseMaxBinding;
         ServeSim::builder(
             kind,
@@ -1191,6 +1200,7 @@ mod tests {
             TransformerConfig::bert(),
             ModelParams::default(),
         )
+        .policy(policy)
         .build()
     }
 
@@ -1342,30 +1352,35 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_fault_spec_reproduces_the_legacy_run_byte_for_byte() {
+    fn a_no_op_fault_timeline_reproduces_the_fault_free_run_byte_for_byte() {
+        // A non-empty timeline that changes nothing forces the
+        // fault-aware path (`sweep_stage`), which must reproduce the
+        // fault-free replicated run: reports and per-chip event streams.
+        // Disaggregated fleets are left out: there the fault-aware path
+        // places decode handoffs by a different policy (ROADMAP item 2).
         let trace = mixed_trace(300.0, 50);
-        for spec in [FleetSpec::replicated(3), FleetSpec::disaggregated(1, 2)] {
-            let legacy = Fleet::new(spec, replica()).run_detailed(&trace);
-            let nofault =
-                Fleet::new(spec, replica()).with_faults(FaultSpec::none()).run_detailed(&trace);
-            assert_eq!(legacy, nofault, "{spec}");
-            assert_eq!(nofault.faults, FaultStats::default());
-            assert!(nofault.shed_ids.is_empty());
-            // The traced event streams are byte-identical too.
-            let stream = |fleet: Fleet| {
-                let (recorder, sink) = VecSink::recorder();
-                fleet.with_recorder(recorder).run_detailed(&trace);
-                sink.events()
-                    .iter()
-                    .map(fusemax_telemetry::event_json)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(
-                stream(Fleet::new(spec, replica())),
-                stream(Fleet::new(spec, replica()).with_faults(FaultSpec::none())),
-                "{spec}"
-            );
+        let spf = QueueOrder::ShortestPromptFirst;
+        for policy in [
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(512).with_queue_order(spf),
+            SchedulerPolicy::unbounded().with_queue_order(spf),
+        ] {
+            for router in
+                [RouterPolicy::RoundRobin, RouterPolicy::LeastLoaded, RouterPolicy::ShortestPrompt]
+            {
+                let spec = FleetSpec::replicated(3).with_router(router);
+                let run = |faults: FaultSpec| {
+                    let (recorder, _sink) = VecSink::recorder();
+                    let fleet = Fleet::new(spec, replica_under(policy)).with_recorder(recorder);
+                    fleet.with_faults(faults).run_detailed(&trace)
+                };
+                let fault_free = run(FaultSpec::none());
+                assert_eq!(fault_free.replica_events.len(), 3);
+                for no_op in [FaultSpec::none().throttle(0.0, 0, 1.0), FaultSpec::none().up(0.0, 0)]
+                {
+                    assert_eq!(run(no_op), fault_free, "{spec} {policy}");
+                }
+            }
         }
     }
 

@@ -35,7 +35,7 @@
 //! trace gate enforces this.
 
 use crate::attribution::LatencyAttribution;
-use crate::fault::ReplicaFaults;
+use crate::fault::Segment;
 use crate::report::{LatencyStats, ServeReport};
 use crate::table::ServiceTimeTable;
 use crate::traffic::{Request, Trace};
@@ -341,13 +341,51 @@ impl ServeSim {
     /// layer merges replicas by concatenating these and recomputing
     /// exact quantiles over the union, so fleet-level tails are never
     /// approximated from per-replica summaries.
+    ///
+    /// A fault-free replay runs the engine's one iteration loop — the
+    /// loop the fleet runs every replica's up-time windows through — in a
+    /// window that is healthy forever: `×1.0` multipliers are exact in
+    /// IEEE 754 and the infinite horizon is never reached.
     pub fn run_sampled_with(
         &self,
         costs: &ServiceTimeTable,
         trace: &Trace,
     ) -> (ServeReport, RunSamples) {
+        let out = self.run_window(costs, trace, &Segment::healthy_from(0.0));
+        (out.report, out.samples)
+    }
+
+    /// Serves `trace` during one up-time `window` of a replica: the
+    /// chip may be degraded (compute throttle scales prefill and
+    /// decode, DRAM brownout additionally scales decode) and fail-stops
+    /// at `window.end_s`.
+    ///
+    /// Semantics:
+    ///
+    /// * Iterations are atomic. An iteration that would finish after the
+    ///   fail-stop instant never commits — the chip dies at its last
+    ///   committed iteration boundary, in-flight requests (including any
+    ///   admitted this iteration) lose their K/V state and are returned in
+    ///   `lost_active`, and waiting/unarrived requests in `lost_waiting`.
+    /// * Degradation multipliers are the window's step in force at each
+    ///   iteration's start time. A healthy step multiplies by exactly
+    ///   1.0, which leaves every service time bit-identical.
+    /// * Prefill telemetry for an iteration is buffered and published
+    ///   only when the iteration commits, so the event stream never
+    ///   narrates work the dead chip didn't do. Arrival and admission
+    ///   events stay inline — they are real history even when the chip
+    ///   later dies.
+    pub(crate) fn run_window(
+        &self,
+        costs: &ServiceTimeTable,
+        trace: &Trace,
+        window: &Segment,
+    ) -> WindowOutcome {
         let reqs = &trace.requests;
         let buffer = self.arch.global_buffer_bytes;
+        let horizon = window.end_s;
+        let steps = &window.slowdowns;
+        let mut step_at = 0usize;
 
         let mut clock = 0.0f64;
         let mut busy = 0.0f64;
@@ -366,12 +404,16 @@ impl ServeSim {
         let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(reqs.len());
         let mut completed = 0usize;
         let mut output_tokens = 0usize;
+        let mut died = false;
 
         let unbounded = self.policy.is_unbounded();
         let ratio = self.policy.waiting_served_ratio;
         // Per-iteration buffers, cleared rather than reallocated.
         let mut granted: Vec<Option<usize>> = Vec::new();
         let mut charged: Vec<f64> = Vec::new();
+        // Prefill narration held back until the iteration commits.
+        let mut pending: Vec<Event> = Vec::new();
+        let narrate = self.recorder.is_enabled();
 
         loop {
             // Pull every request that has arrived by now into the
@@ -387,6 +429,12 @@ impl ServeSim {
             }
             if active.is_empty() && queue.is_empty() {
                 if next >= reqs.len() {
+                    break;
+                }
+                if reqs[next].arrival_s >= horizon {
+                    // The chip dies before the next arrival; everything
+                    // still to come was routed to a corpse.
+                    died = true;
                     break;
                 }
                 // Idle: jump to the next arrival.
@@ -444,22 +492,25 @@ impl ServeSim {
             peak_resident_bytes = peak_resident_bytes.max(resident_bytes);
             peak_batch = peak_batch.max(active.len());
 
-            // One engine iteration: prefill the newly admitted (whole
-            // prompts, or token-budgeted chunks under a chunked policy)
-            // and decode one token for every prefilled resident. `granted`
-            // records each unprefilled request's prompt-token progress
-            // this iteration (`None` = starved by the chunk budget).
+            // One engine iteration under the degradation step in force at
+            // its start (the clock never runs backwards): prefill the newly
+            // admitted (whole prompts, or token-budgeted chunks) × compute,
+            // and decode one token per prefilled resident × compute × dram.
+            // `granted` records each unprefilled request's prompt-token
+            // progress (`None` = starved by the chunk budget), `charged`
+            // its prefill seconds (attribution only).
+            while step_at + 1 < steps.len() && steps[step_at + 1].0 <= clock {
+                step_at += 1;
+            }
+            let (_, compute_mult, dram_mult) = steps[step_at];
             let mut step = 0.0f64;
             let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
             granted.clear();
-            // Prefill seconds charged to each active request this
-            // iteration (attribution only; `step` accumulates the exact
-            // same values in the exact same order as before).
             charged.clear();
             for a in &active {
                 let mut cost = 0.0f64;
                 let grant = if a.prefilled {
-                    step += costs.decode_seconds(a.context);
+                    step += costs.decode_seconds(a.context) * compute_mult * dram_mult;
                     None
                 } else if let Some(chunk) = self.policy.chunk_tokens {
                     let need = a.context - a.prefilled_tokens;
@@ -470,17 +521,22 @@ impl ServeSim {
                     } else if want <= chunk_budget {
                         chunk_budget -= want;
                         let (req, context) = (reqs[a.idx].id as u64, a.context);
-                        if a.prefilled_tokens == 0 {
-                            self.recorder.emit(|| {
-                                Event::serve(clock, ServeEvent::PrefillStart { req, context })
-                            });
+                        if narrate {
+                            if a.prefilled_tokens == 0 {
+                                pending.push(Event::serve(
+                                    clock,
+                                    ServeEvent::PrefillStart { req, context },
+                                ));
+                            }
+                            let (tokens, remaining) = (want, need - want);
+                            pending.push(Event::serve(
+                                clock,
+                                ServeEvent::PrefillChunk { req, tokens, remaining },
+                            ));
                         }
-                        let (tokens, remaining) = (want, need - want);
-                        self.recorder.emit(|| {
-                            Event::serve(clock, ServeEvent::PrefillChunk { req, tokens, remaining })
-                        });
                         cost = costs
-                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want);
+                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want)
+                            * compute_mult;
                         step += cost;
                         Some(want)
                     } else {
@@ -488,14 +544,24 @@ impl ServeSim {
                     }
                 } else {
                     let (req, context) = (reqs[a.idx].id as u64, a.context);
-                    self.recorder
-                        .emit(|| Event::serve(clock, ServeEvent::PrefillStart { req, context }));
-                    cost = costs.prefill_seconds(a.context);
+                    if narrate {
+                        pending
+                            .push(Event::serve(clock, ServeEvent::PrefillStart { req, context }));
+                    }
+                    cost = costs.prefill_seconds(a.context) * compute_mult;
                     step += cost;
                     Some(a.context)
                 };
                 granted.push(grant);
                 charged.push(cost);
+            }
+            if clock + step > horizon {
+                // The chip fail-stops mid-iteration: nothing commits.
+                died = true;
+                break;
+            }
+            if narrate {
+                self.recorder.publish(pending.drain(..));
             }
             clock += step;
             busy += step;
@@ -564,278 +630,10 @@ impl ServeSim {
             });
         }
 
-        let makespan = clock;
-        let report = ServeReport {
-            completed,
-            output_tokens,
-            iterations,
-            makespan_s: makespan,
-            busy_s: busy,
-            goodput_rps: if makespan > 0.0 { completed as f64 / makespan } else { 0.0 },
-            token_throughput_per_s: if makespan > 0.0 {
-                output_tokens as f64 / makespan
-            } else {
-                0.0
-            },
-            utilization: if makespan > 0.0 { busy / makespan } else { 0.0 },
-            peak_resident_bytes,
-            peak_batch,
-            buffer_bytes: buffer,
-            ttft: LatencyStats::of(&mut ttft),
-            tpot: LatencyStats::of(&mut tpot),
-            e2e: LatencyStats::of(&mut e2e),
-        };
-        (report, RunSamples { ttft, tpot, e2e, completions, attributions })
-    }
-
-    /// The fault-aware twin of [`ServeSim::run_sampled_with`]: serves
-    /// `trace` on a replica that may be degraded (compute throttle scales
-    /// prefill and decode, DRAM brownout additionally scales decode) and
-    /// may fail-stop at `faults.horizon_s`.
-    ///
-    /// Semantics:
-    ///
-    /// * Iterations are atomic. An iteration that would finish after the
-    ///   fail-stop instant never commits — the chip dies at its last
-    ///   committed iteration boundary, in-flight requests (including any
-    ///   admitted this iteration) lose their K/V state and are returned in
-    ///   `lost_active`, and waiting/unarrived requests in `lost_waiting`.
-    /// * Degradation multipliers are looked up once per iteration at its
-    ///   start time; `×1.0` is bit-exact in IEEE 754, so a run under
-    ///   [`ReplicaFaults::none`] is value-identical to the legacy path
-    ///   (the fleet layer still routes fault-free runs through
-    ///   [`ServeSim::run_sampled_with`] itself for byte-identity of the
-    ///   event stream closure structure).
-    /// * Prefill telemetry for an iteration is buffered and published
-    ///   only when the iteration commits, so the event stream never
-    ///   narrates work the dead chip didn't do. Arrival and admission
-    ///   events stay inline — they are real history even when the chip
-    ///   later dies.
-    pub(crate) fn run_sampled_faulted(
-        &self,
-        costs: &ServiceTimeTable,
-        trace: &Trace,
-        faults: &ReplicaFaults,
-    ) -> FaultedOutcome {
-        let reqs = &trace.requests;
-        let buffer = self.arch.global_buffer_bytes;
-        let horizon = faults.horizon_s;
-
-        let mut clock = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut next = 0usize;
-        let mut queue = WaitingQueue::new(self.policy.queue_order);
-        let mut active: Vec<Active> = Vec::new();
-        let mut resident_bytes = 0u64;
-        let mut peak_resident_bytes = 0u64;
-        let mut peak_batch = 0usize;
-        let mut iterations = 0usize;
-
-        let mut ttft = Vec::with_capacity(reqs.len());
-        let mut e2e = Vec::with_capacity(reqs.len());
-        let mut tpot = Vec::new();
-        let mut completions: Vec<(usize, f64)> = Vec::with_capacity(reqs.len());
-        let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(reqs.len());
-        let mut completed = 0usize;
-        let mut output_tokens = 0usize;
-        let mut lost_active: Vec<usize> = Vec::new();
-        let mut lost_waiting: Vec<usize> = Vec::new();
-        let mut died = false;
-
-        let unbounded = self.policy.is_unbounded();
-        let ratio = self.policy.waiting_served_ratio;
-        // Per-iteration buffers, cleared rather than reallocated.
-        let mut granted: Vec<Option<usize>> = Vec::new();
-        let mut charged: Vec<f64> = Vec::new();
-        // Prefill narration held back until the iteration commits.
-        let mut pending: Vec<Event> = Vec::new();
-        let narrate = self.recorder.is_enabled();
-
-        loop {
-            while next < reqs.len() && reqs[next].arrival_s <= clock {
-                let (at, req) = (reqs[next].arrival_s, reqs[next].id as u64);
-                self.recorder.emit(|| Event::serve(at, ServeEvent::Arrive { req }));
-                if !unbounded {
-                    self.recorder.emit(|| Event::serve(at, ServeEvent::Enqueue { req }));
-                }
-                queue.push(next, &reqs[next]);
-                next += 1;
-            }
-            if active.is_empty() && queue.is_empty() {
-                if next >= reqs.len() {
-                    break;
-                }
-                if reqs[next].arrival_s >= horizon {
-                    // The chip dies before the next arrival; everything
-                    // still to come was routed to a corpse.
-                    died = true;
-                    break;
-                }
-                clock = reqs[next].arrival_s;
-                continue;
-            }
-
-            while let Some(i) = queue.peek() {
-                let bytes = self.request_kv_bytes(reqs[i].prompt_tokens, reqs[i].output_tokens);
-                if !active.is_empty() && resident_bytes + bytes > buffer {
-                    break;
-                }
-                if ratio > 0.0
-                    && !active.is_empty()
-                    && (queue.len() as f64) < ratio * active.len() as f64
-                {
-                    break;
-                }
-                queue.pop();
-                let req = reqs[i].id as u64;
-                if !unbounded {
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::Dequeue { req }));
-                }
-                self.recorder.emit(|| Event::serve(clock, ServeEvent::Admit { req }));
-                resident_bytes += bytes;
-                active.push(Active {
-                    idx: i,
-                    prefilled: self.start_prefilled,
-                    remaining: reqs[i].output_tokens.saturating_sub(1),
-                    context: if self.start_prefilled {
-                        reqs[i].prompt_tokens + 1
-                    } else {
-                        reqs[i].prompt_tokens
-                    },
-                    prefilled_tokens: if self.start_prefilled { reqs[i].prompt_tokens } else { 0 },
-                    kv_bytes: bytes,
-                    first_token_s: if self.start_prefilled { clock } else { 0.0 },
-                    admit_s: clock,
-                    prefill_busy_s: 0.0,
-                    ttft_s: 0.0,
-                });
-            }
-            peak_resident_bytes = peak_resident_bytes.max(resident_bytes);
-            peak_batch = peak_batch.max(active.len());
-
-            // One iteration under the degradation multipliers in force at
-            // its start. Prefill is compute-bound (× compute), decode is
-            // bandwidth-bound (× compute × dram).
-            let (compute_mult, dram_mult) = faults.multipliers_at(clock);
-            let mut step = 0.0f64;
-            let mut chunk_budget = self.policy.chunk_tokens.unwrap_or(0);
-            granted.clear();
-            charged.clear();
-            for a in &active {
-                let mut cost = 0.0f64;
-                let grant = if a.prefilled {
-                    step += costs.decode_seconds(a.context) * compute_mult * dram_mult;
-                    None
-                } else if let Some(chunk) = self.policy.chunk_tokens {
-                    let need = a.context - a.prefilled_tokens;
-                    let want = need.min(chunk);
-                    if need == 0 {
-                        Some(0)
-                    } else if want <= chunk_budget {
-                        chunk_budget -= want;
-                        let (req, context) = (reqs[a.idx].id as u64, a.context);
-                        if narrate {
-                            if a.prefilled_tokens == 0 {
-                                pending.push(Event::serve(
-                                    clock,
-                                    ServeEvent::PrefillStart { req, context },
-                                ));
-                            }
-                            let (tokens, remaining) = (want, need - want);
-                            pending.push(Event::serve(
-                                clock,
-                                ServeEvent::PrefillChunk { req, tokens, remaining },
-                            ));
-                        }
-                        cost = costs
-                            .prefill_chunk_seconds(a.prefilled_tokens, a.prefilled_tokens + want)
-                            * compute_mult;
-                        step += cost;
-                        Some(want)
-                    } else {
-                        None
-                    }
-                } else {
-                    let (req, context) = (reqs[a.idx].id as u64, a.context);
-                    if narrate {
-                        pending
-                            .push(Event::serve(clock, ServeEvent::PrefillStart { req, context }));
-                    }
-                    cost = costs.prefill_seconds(a.context) * compute_mult;
-                    step += cost;
-                    Some(a.context)
-                };
-                granted.push(grant);
-                charged.push(cost);
-            }
-            if clock + step > horizon {
-                // The chip fail-stops mid-iteration: nothing commits.
-                died = true;
-                break;
-            }
-            self.recorder.publish(pending.drain(..));
-            clock += step;
-            busy += step;
-            iterations += 1;
-            let (batch, resident_kv, depth) = (active.len(), resident_bytes, queue.len());
-            self.recorder
-                .emit(|| Event::serve(clock, ServeEvent::DecodeIter { batch, resident_kv }));
-            self.recorder.emit(|| Event::serve(clock, ServeEvent::QueueDepthSample { depth }));
-            if !unbounded {
-                self.recorder.emit(|| Event::serve(clock, ServeEvent::WaitingDepth { depth }));
-            }
-
-            for ((a, grant), &cost) in active.iter_mut().zip(&granted).zip(&charged) {
-                if a.prefilled {
-                    a.remaining = a.remaining.saturating_sub(1);
-                    a.context += 1;
-                    continue;
-                }
-                let Some(tokens) = *grant else { continue };
-                a.prefill_busy_s += cost;
-                a.prefilled_tokens += tokens;
-                if a.prefilled_tokens >= reqs[a.idx].prompt_tokens {
-                    a.prefilled = true;
-                    a.first_token_s = clock;
-                    a.context += 1;
-                    let req = reqs[a.idx].id as u64;
-                    self.recorder.emit(|| Event::serve(clock, ServeEvent::PrefillEnd { req }));
-                    let t = clock - reqs[a.idx].arrival_s;
-                    a.ttft_s = t;
-                    ttft.push(t);
-                }
-            }
-            active.retain(|a| {
-                if !(a.prefilled && a.remaining == 0) {
-                    return true;
-                }
-                let r = &reqs[a.idx];
-                let req = r.id as u64;
-                self.recorder.emit(|| Event::serve(clock, ServeEvent::Complete { req }));
-                resident_bytes -= a.kv_bytes;
-                completed += 1;
-                output_tokens += r.output_tokens;
-                completions.push((r.id, clock));
-                let e2e_s = clock - r.arrival_s;
-                e2e.push(e2e_s);
-                attributions.push(LatencyAttribution::from_run(
-                    r.id,
-                    r.arrival_s,
-                    a.admit_s,
-                    a.prefill_busy_s,
-                    if self.start_prefilled { None } else { Some(a.ttft_s) },
-                    e2e_s,
-                ));
-                if r.output_tokens > 1 {
-                    tpot.push((clock - a.first_token_s) / (r.output_tokens - 1) as f64);
-                }
-                false
-            });
-        }
-
+        // On a fail-stop everything still on the chip loses its K/V state;
+        // everything waiting (or not yet arrived but routed here) never ran.
+        let (mut lost_active, mut lost_waiting) = (Vec::new(), Vec::new());
         if died {
-            // Everything still on the chip loses its K/V state; everything
-            // waiting (or not yet arrived but routed here) never ran.
             lost_active.extend(active.iter().map(|a| reqs[a.idx].id));
             lost_waiting.extend(queue.ascending().into_iter().map(|i| reqs[i].id));
             lost_waiting.extend(reqs[next..].iter().map(|r| r.id));
@@ -862,7 +660,7 @@ impl ServeSim {
             tpot: LatencyStats::of(&mut tpot),
             e2e: LatencyStats::of(&mut e2e),
         };
-        FaultedOutcome {
+        WindowOutcome {
             report,
             samples: RunSamples { ttft, tpot, e2e, completions, attributions },
             lost_active,
@@ -871,11 +669,11 @@ impl ServeSim {
     }
 }
 
-/// What a fault-aware replica run produced: the survivor's report and
+/// What one up-time window's run produced: the survivor's report and
 /// samples, plus the trace request ids displaced by a fail-stop (empty
 /// when the replica outlived its sub-trace).
 #[derive(Debug, Clone)]
-pub(crate) struct FaultedOutcome {
+pub(crate) struct WindowOutcome {
     /// The replica's report over the requests it actually served.
     pub report: ServeReport,
     /// Raw samples behind the report (completed requests only).
@@ -1282,62 +1080,38 @@ mod tests {
         assert!(report.iterations >= 7);
     }
 
-    /// The policies both replay loops are checked under: whole-prompt
-    /// FCFS, chunk512/SPF and whole-prompt SPF.
-    fn queue_policies() -> [SchedulerPolicy; 3] {
-        let spf = QueueOrder::ShortestPromptFirst;
-        [
-            SchedulerPolicy::unbounded(),
-            SchedulerPolicy::chunked(512).with_queue_order(spf),
-            SchedulerPolicy::unbounded().with_queue_order(spf),
-        ]
-    }
-
-    /// Dense enough that requests queue behind the batch, so SPF reorders
-    /// admissions and a fail-stop strands queued requests.
-    fn queued_trace() -> Trace {
-        small_trace(3000.0, 60)
-    }
-
-    #[test]
-    fn fault_free_faulted_run_matches_the_legacy_engine() {
-        use fusemax_telemetry::VecSink;
-        let trace = queued_trace();
-        let mut whole_prompt_completions = Vec::new();
-        for policy in queue_policies() {
-            let (legacy_recorder, legacy_sink) = VecSink::recorder();
-            let (faulted_recorder, faulted_sink) = VecSink::recorder();
-            let sim = |recorder| {
-                bert_builder(ConfigKind::FuseMaxBinding).policy(policy).recorder(recorder).build()
-            };
-            let (legacy, faulted) = (sim(legacy_recorder), sim(faulted_recorder));
-            let costs = legacy.service_times(&trace);
-            let (report, samples) = legacy.run_sampled_with(&costs, &trace);
-            let outcome = faulted.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
-            assert_eq!(outcome.report, report, "{policy}: ×1.0 multipliers must be bit-exact");
-            assert_eq!(outcome.samples, samples, "{policy}");
-            assert_eq!(faulted_sink.events(), legacy_sink.events(), "{policy}: event streams");
-            assert!(outcome.lost_active.is_empty() && outcome.lost_waiting.is_empty());
-            if policy.chunk_tokens.is_none() {
-                whole_prompt_completions.push(samples.completions);
-            }
-        }
-        assert_ne!(
-            whole_prompt_completions[0], whole_prompt_completions[1],
-            "the trace must queue deeply enough for SPF to reorder admissions"
-        );
+    /// A window up from t = 0 that fail-stops at `end_s` under one
+    /// constant `(compute, dram)` step.
+    fn window(end_s: f64, compute: f64, dram: f64) -> Segment {
+        Segment { start_s: 0.0, end_s, slowdowns: vec![(0.0, compute, dram)] }
     }
 
     #[test]
     fn a_fail_stop_loses_residents_and_waiters_exactly_once() {
-        let trace = queued_trace();
-        for policy in queue_policies() {
+        // Dense enough that requests queue behind the batch, so SPF
+        // reorders admissions and a fail-stop strands queued requests.
+        let trace = small_trace(3000.0, 60);
+        let spf = QueueOrder::ShortestPromptFirst;
+        let mut whole_prompt_completions = Vec::new();
+        for policy in [
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(512).with_queue_order(spf),
+            SchedulerPolicy::unbounded().with_queue_order(spf),
+        ] {
             let sim = bert_builder(ConfigKind::FuseMaxBinding).policy(policy).build();
             let costs = sim.service_times(&trace);
-            let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
+            let healthy = sim.run_window(&costs, &trace, &Segment::healthy_from(0.0));
+            assert!(
+                healthy.lost_active.is_empty() && healthy.lost_waiting.is_empty(),
+                "{policy}: a healthy window loses nothing"
+            );
+            assert_eq!(healthy.report.completed, 60, "{policy}");
+            if policy.chunk_tokens.is_none() {
+                whole_prompt_completions.push(healthy.samples.completions.clone());
+            }
             let mid = healthy.report.makespan_s / 2.0;
-            let faults = ReplicaFaults { horizon_s: mid, slowdowns: vec![(0.0, 1.0, 1.0)] };
-            let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
+            let faults = window(mid, 1.0, 1.0);
+            let outcome = sim.run_window(&costs, &trace, &faults);
             assert!(
                 outcome.report.completed < 60,
                 "{policy}: a mid-trace death must lose requests"
@@ -1362,11 +1136,15 @@ mod tests {
             ids.sort_unstable();
             assert_eq!(ids, (0..60).collect::<Vec<_>>(), "{policy}");
             // Replay is bit-identical.
-            let again = sim.run_sampled_faulted(&costs, &trace, &faults);
+            let again = sim.run_window(&costs, &trace, &faults);
             assert_eq!(again.report, outcome.report, "{policy}");
             assert_eq!(again.lost_active, outcome.lost_active, "{policy}");
             assert_eq!(again.lost_waiting, outcome.lost_waiting, "{policy}");
         }
+        assert_ne!(
+            whole_prompt_completions[0], whole_prompt_completions[1],
+            "the trace must queue deeply enough for SPF to reorder admissions"
+        );
     }
 
     #[test]
@@ -1374,15 +1152,12 @@ mod tests {
         let trace = small_trace(300.0, 40);
         let sim = bert_sim(ConfigKind::FuseMaxBinding);
         let costs = sim.service_times(&trace);
-        let healthy = sim.run_sampled_faulted(&costs, &trace, &ReplicaFaults::none());
-        let throttled =
-            ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 2.0, 1.0)] };
-        let slow = sim.run_sampled_faulted(&costs, &trace, &throttled);
+        let healthy = sim.run_window(&costs, &trace, &Segment::healthy_from(0.0));
+        let slow = sim.run_window(&costs, &trace, &window(f64::INFINITY, 2.0, 1.0));
         assert_eq!(slow.report.completed, 40, "degraded chips still finish");
         assert!(slow.report.makespan_s > healthy.report.makespan_s);
         assert!(slow.report.busy_s > healthy.report.busy_s);
-        let browned = ReplicaFaults { horizon_s: f64::INFINITY, slowdowns: vec![(0.0, 1.0, 4.0)] };
-        let brown = sim.run_sampled_faulted(&costs, &trace, &browned);
+        let brown = sim.run_window(&costs, &trace, &window(f64::INFINITY, 1.0, 4.0));
         assert!(
             brown.report.busy_s > healthy.report.busy_s,
             "brownouts slow bandwidth-bound decode"
@@ -1400,8 +1175,7 @@ mod tests {
         let (recorder, sink) = VecSink::recorder();
         let sim = bert_builder(ConfigKind::FuseMaxBinding).recorder(recorder).build();
         let costs = sim.service_times(&trace);
-        let faults = ReplicaFaults { horizon_s: 0.05, slowdowns: vec![(0.0, 1.0, 1.0)] };
-        let outcome = sim.run_sampled_faulted(&costs, &trace, &faults);
+        let outcome = sim.run_window(&costs, &trace, &window(0.05, 1.0, 1.0));
         let starts = sink
             .events()
             .iter()

@@ -227,7 +227,7 @@ pub enum ServeEvent {
 /// A finite `f64` as a JSON number (`null` for non-finite values, which
 /// JSON cannot represent). Shortest-round-trip formatting, so identical
 /// values always serialize to identical bytes.
-pub(crate) fn num(x: f64) -> String {
+pub fn num(x: f64) -> String {
     if x.is_finite() {
         format!("{x:e}")
     } else {
@@ -236,7 +236,7 @@ pub(crate) fn num(x: f64) -> String {
 }
 
 /// A string as a JSON string literal.
-pub(crate) fn quoted(s: &str) -> String {
+pub fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

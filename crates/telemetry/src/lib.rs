@@ -50,3 +50,10 @@ pub use profile::{
     RooflinePoint, SearchBudgetAttribution,
 };
 pub use sink::{FanoutSink, JsonLinesSink, Recorder, RingSink, TelemetrySink, VecSink};
+
+/// The JSON scalar writers every exporter in the workspace shares
+/// (telemetry streams and snapshots, the DSE frontier and cache files),
+/// so equal values always serialize to equal bytes.
+pub mod json {
+    pub use crate::event::{num, quoted};
+}

@@ -6,8 +6,9 @@
 //!   the budget, K/V residency stays within every survivor's buffer,
 //!   retried attributions still fold bit-exactly, and faulted replays
 //!   are bit-identical;
-//! * the no-op contract — an empty [`FaultSpec`] reproduces the legacy
-//!   fleet run byte for byte, topology by topology;
+//! * the no-op contract — a timeline that changes nothing forces the
+//!   fault-aware fleet path, which reproduces the fault-free run byte for
+//!   byte on replicated fleets;
 //! * the tentpole acceptance — the same seeded guided search that picks
 //!   a lone big chip under the fault-free objective picks an N+1
 //!   redundant fleet once a single-failure scenario enters the
@@ -19,7 +20,7 @@
 //!   `FUSEMAX_UPDATE_GOLDEN=1 cargo test --test fault`).
 
 use fusemax::dse::search::{GeneticSearch, SearchBudget, SearchStrategy};
-use fusemax::dse::{DesignSpace, FleetSpec, RouterPolicy, Sweeper};
+use fusemax::dse::{DesignSpace, FleetSpec, QueueOrder, RouterPolicy, SchedulerPolicy, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::serve::{
     Arrivals, FaultSpec, Fleet, LengthMix, RetryPolicy, ScenarioRanking, ServeObjective, ServeSim,
@@ -43,8 +44,13 @@ fn mixed_spec(rate: f64, requests: usize) -> TrafficSpec {
 }
 
 fn binding_replica() -> ServeSim {
+    policy_replica(SchedulerPolicy::unbounded())
+}
+
+fn policy_replica(policy: SchedulerPolicy) -> ServeSim {
     let kind = ConfigKind::FuseMaxBinding;
     ServeSim::builder(kind, kind.default_arch(), TransformerConfig::bert(), ModelParams::default())
+        .policy(policy)
         .build()
 }
 
@@ -138,22 +144,49 @@ proptest! {
         prop_assert!(a.faults.retries <= requests * budget);
     }
 
-    /// The no-op contract: an empty fault spec reproduces the legacy
-    /// fleet run byte for byte — replicated and disaggregated alike.
+    /// The no-op contract: a non-empty timeline that changes nothing
+    /// forces the fault-aware fleet path, which must reproduce the
+    /// fault-free path's whole report, per-chip event streams included,
+    /// for every replicated topology, router and queue policy. (The
+    /// disaggregated fault-aware path places decode handoffs by a
+    /// different policy, so it is not a no-op there; see ROADMAP item 2.)
     #[test]
-    fn an_empty_fault_spec_is_byte_identical_to_legacy(
+    fn a_no_op_fault_timeline_is_byte_identical_to_the_fault_free_path(
         seed in 0u64..1_000_000_000,
         requests in 1usize..32,
-        topology in 0usize..4,
-        router_choice in 0usize..3,
+        topology in 0usize..2,
     ) {
         let trace = mixed_spec(400.0, requests).generate(seed);
-        let spec = topologies()[topology].with_router(ROUTERS[router_choice]);
-        let legacy = Fleet::new(spec, binding_replica()).run_detailed(&trace);
-        let faulted = Fleet::new(spec, binding_replica())
-            .with_faults(FaultSpec::none())
-            .run_detailed(&trace);
-        prop_assert_eq!(legacy, faulted, "empty FaultSpec changed the run for {}", spec);
+        let spf = QueueOrder::ShortestPromptFirst;
+        let policies = [
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(512).with_queue_order(spf),
+            SchedulerPolicy::unbounded().with_queue_order(spf),
+        ];
+        let no_ops = [FaultSpec::none().throttle(0.0, 0, 1.0), FaultSpec::none().up(0.0, 0)];
+        for router in ROUTERS {
+            for policy in policies {
+                let spec = topologies()[topology].with_router(router);
+                let run = |faults: &FaultSpec| {
+                    let (recorder, _sink) = VecSink::recorder();
+                    Fleet::new(spec, policy_replica(policy))
+                        .with_recorder(recorder)
+                        .with_faults(faults.clone())
+                        .run_detailed(&trace)
+                };
+                let fault_free = run(&FaultSpec::none());
+                for no_op in &no_ops {
+                    prop_assert_eq!(
+                        &run(no_op),
+                        &fault_free,
+                        "{} changed the run for {} under {}",
+                        no_op.render_events(),
+                        spec,
+                        policy
+                    );
+                }
+            }
+        }
     }
 
     /// Degraded modes (clock throttle, DRAM brownout) slow the fleet

@@ -1,34 +1,34 @@
 //! Telemetry gates: instrumentation must be *free* (bit-identical
 //! results with and without a recorder), *deterministic* (byte-identical
 //! event streams across replays and across the parallel/serial switch),
-//! and *exportable* (the seeded serve trace round-trips the checked-in
-//! golden Chrome-trace JSON byte for byte).
+//! and *exportable* (the seeded serve traces — whole-prompt/FCFS and
+//! chunked/SPF — round-trip the checked-in golden Chrome-trace JSON byte
+//! for byte).
 //!
-//! To bless an intentional engine change, regenerate the golden with
+//! To bless an intentional engine change, regenerate the goldens with
 //! `FUSEMAX_UPDATE_GOLDEN=1 cargo test --test telemetry` and commit the
 //! diff.
 
 use fusemax::dse::search::{SearchBudget, SearchStrategy, SimulatedAnnealing};
 use fusemax::dse::{DesignSpace, FrontierGroup, Sweeper};
+use fusemax::dse::{QueueOrder, SchedulerPolicy};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::serve::{Arrivals, LengthMix, ServeSim, TrafficSpec};
 use fusemax::telemetry::{
-    event_json, serve_trace_json, validate_chrome_trace, Event, Metrics, VecSink,
+    event_json, serve_trace_json, validate_chrome_trace, Event, Metrics, ServeEvent, VecSink,
 };
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
 use std::path::Path;
 
-const GOLDEN_PATH: &str = "tests/golden/serve_trace.json";
-
-/// The canonical seeded serving run: a small bursty BERT trace on the
-/// +Binding design, instrumented end to end.
-fn seeded_serve_events() -> Vec<Event> {
+/// The seeded BERT trace on the +Binding design under `policy`,
+/// instrumented end to end.
+fn seeded_events(rate_per_s: f64, requests: usize, policy: SchedulerPolicy) -> Vec<Event> {
     let trace = TrafficSpec {
-        arrivals: Arrivals::Poisson { rate_per_s: 400.0 },
+        arrivals: Arrivals::Poisson { rate_per_s },
         prompt_mix: LengthMix::new([(256, 3.0), (1024, 1.0)]),
         output_mix: LengthMix::uniform([2, 6]),
-        requests: 12,
+        requests,
     }
     .generate(7);
     let (recorder, sink) = VecSink::recorder();
@@ -38,32 +38,92 @@ fn seeded_serve_events() -> Vec<Event> {
         TransformerConfig::bert(),
         ModelParams::default(),
     )
+    .policy(policy)
     .recorder(recorder)
     .build()
     .run(&trace);
     sink.events()
 }
 
-#[test]
-fn seeded_serve_trace_matches_the_checked_in_golden() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join(GOLDEN_PATH);
-    let current = serve_trace_json(&seeded_serve_events());
+/// The canonical seeded serving run: a small bursty trace under the
+/// default whole-prompt/FCFS scheduler.
+fn seeded_serve_events() -> Vec<Event> {
+    seeded_events(400.0, 12, SchedulerPolicy::unbounded())
+}
 
+/// The chunk512/SPF policy of the scheduler golden, with a waiting/served
+/// admission ratio.
+fn spf_policy(ratio: f64) -> SchedulerPolicy {
+    SchedulerPolicy::chunked(512)
+        .with_queue_order(QueueOrder::ShortestPromptFirst)
+        .with_waiting_served_ratio(ratio)
+}
+
+/// Compares `current` with the golden at `rel` (repo-relative), or
+/// rewrites the golden under `FUSEMAX_UPDATE_GOLDEN`.
+fn check_golden(rel: &str, current: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &current).expect("write golden");
+        std::fs::write(&path, current).expect("write golden");
         eprintln!("golden updated at {}", path.display());
         return;
     }
-
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert_eq!(
         current, golden,
-        "serve trace drifted from {GOLDEN_PATH}.\n\
+        "serve trace drifted from {rel}.\n\
          If the engine change is intentional, regenerate with\n\
          FUSEMAX_UPDATE_GOLDEN=1 cargo test --test telemetry"
     );
+}
+
+#[test]
+fn seeded_serve_trace_matches_the_checked_in_golden() {
+    check_golden("tests/golden/serve_trace.json", &serve_trace_json(&seeded_serve_events()));
+}
+
+#[test]
+fn seeded_spf_serve_trace_matches_the_checked_in_golden() {
+    // A trace dense enough to queue, so the stream carries enqueue/dequeue,
+    // prefill chunks, waiting depth, SPF reordering and the admission-ratio
+    // gate.
+    let events = seeded_events(3000.0, 60, spf_policy(1.2));
+    let serve_kinds: Vec<&ServeEvent> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Serve { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect();
+    let ids = |pick: fn(&ServeEvent) -> Option<u64>| -> Vec<u64> {
+        serve_kinds.iter().filter_map(|&k| pick(k)).collect()
+    };
+    let enqueued = ids(|k| match k {
+        ServeEvent::Enqueue { req } => Some(*req),
+        _ => None,
+    });
+    let dequeued = ids(|k| match k {
+        ServeEvent::Dequeue { req } => Some(*req),
+        _ => None,
+    });
+    assert_eq!(enqueued.len(), 60);
+    assert_eq!(dequeued.len(), 60);
+    assert_ne!(enqueued, dequeued, "the trace must queue deeply enough for SPF to reorder");
+    assert!(serve_kinds
+        .iter()
+        .any(|k| matches!(k, ServeEvent::PrefillChunk { remaining, .. } if *remaining > 0)));
+    assert!(serve_kinds
+        .iter()
+        .any(|k| matches!(k, ServeEvent::WaitingDepth { depth } if *depth > 0)));
+    assert_ne!(
+        render(&events),
+        render(&seeded_events(3000.0, 60, spf_policy(0.0))),
+        "the admission ratio must gate at least one admission"
+    );
+    let json = serve_trace_json(&events);
+    validate_chrome_trace(&json).expect("exported trace is valid");
+    check_golden("tests/golden/serve_trace_spf.json", &json);
 }
 
 #[test]
