@@ -66,6 +66,10 @@ pub enum SpecError {
     BadArrivalRate,
     /// A bursty arrival process with zero requests per burst.
     EmptyBurst,
+    /// A traffic length mix with no `(tokens, weight)` choice.
+    EmptyLengthMix,
+    /// A traffic length-mix weight that is not positive and finite.
+    BadLengthWeight,
 }
 
 impl fmt::Display for SpecError {
@@ -83,6 +87,10 @@ impl fmt::Display for SpecError {
             }
             SpecError::BadArrivalRate => write!(f, "arrival rate must be positive and finite"),
             SpecError::EmptyBurst => write!(f, "a burst must hold at least one request"),
+            SpecError::EmptyLengthMix => write!(f, "a length mix needs at least one choice"),
+            SpecError::BadLengthWeight => {
+                write!(f, "length-mix weights must be positive and finite")
+            }
         }
     }
 }

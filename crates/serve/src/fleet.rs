@@ -248,23 +248,29 @@ impl Fleet {
     /// Panics if a non-empty fault spec fails
     /// [`FaultSpec::validate`] against the trace horizon.
     pub fn run_detailed(&self, trace: &Trace) -> FleetReport {
-        let costs = self.template.service_times(trace);
+        self.run_detailed_with(&self.template.service_times(trace), trace)
+    }
+
+    /// [`Fleet::run_detailed`] on a prebuilt table for `trace` — how a
+    /// [`crate::ServeObjective`] scoring hands its one table to every
+    /// fault scenario's replay.
+    pub(crate) fn run_detailed_with(&self, costs: &ServiceTimeTable, trace: &Trace) -> FleetReport {
         if self.faults.is_empty() {
             // The fault-free paths skip `sweep_stage`'s per-request
             // bookkeeping. On a no-op timeline the replicated paths agree
             // byte-for-byte (test-enforced); the disaggregated ones place
             // decode handoffs differently (ROADMAP item 2).
             return match self.spec.prefill_decode {
-                None => self.run_replicated(trace, &costs),
-                Some((p, d)) => self.run_disaggregated(trace, &costs, p.max(1), d.max(1)),
+                None => self.run_replicated(trace, costs),
+                Some((p, d)) => self.run_disaggregated(trace, costs, p.max(1), d.max(1)),
             };
         }
         if let Err(e) = self.faults.validate(trace.last_arrival_s()) {
             panic!("invalid fault spec: {e}");
         }
         match self.spec.prefill_decode {
-            None => self.run_replicated_faulted(trace, &costs),
-            Some((p, d)) => self.run_disaggregated_faulted(trace, &costs, p.max(1), d.max(1)),
+            None => self.run_replicated_faulted(trace, costs),
+            Some((p, d)) => self.run_disaggregated_faulted(trace, costs, p.max(1), d.max(1)),
         }
     }
 

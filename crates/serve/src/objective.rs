@@ -18,14 +18,18 @@
 //! silicon, which is exactly the trade the fleet axis searches.
 
 use crate::fault::FaultSpec;
-use crate::fleet::Fleet;
+use crate::fleet::{Fleet, FleetReport};
 use crate::report::ServeReport;
+use crate::sim::ServeSim;
+use crate::table::ServiceTimeTable;
 use crate::traffic::Trace;
-use fusemax_dse::{DesignPoint, Evaluation, MeritScore, Objective, PointKey};
+use fusemax_dse::{
+    DesignPoint, Evaluation, FleetSpec, MeritScore, Objective, PointKey, SchedulerPolicy,
+};
 use fusemax_model::ModelParams;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A serving-latency service-level agreement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +90,26 @@ pub struct ServeScore {
 /// * **Post hoc** — [`ServeObjective::rank`] re-ranks a finished sweep's
 ///   evaluations, best server first.
 ///
+/// # Two memos
+///
+/// * The **score memo**, keyed by the whole design point, serves
+///   in-loop revisits ([`Objective::score`],
+///   [`ServeObjective::score_detailed`]).
+/// * The **model memo** holds the analytical-model results behind every
+///   scoring's service-time table, keyed by chip and sequence length: a
+///   scoring builds one table, shared by all of its fault scenarios, and
+///   each `(chip, L)` is computed once per objective however many
+///   policies, fleets, scenarios and threads need it
+///   ([`ServeObjective::model_calls`] counts them). It only ever holds
+///   results for the objective's own [`ModelParams`]: a scoring under
+///   other `params` builds its table directly and leaves the memo alone.
+///
+/// Both start empty. [`ServeObjective::with_params`] empties both and
+/// [`ServeObjective::with_fault_scenarios`] empties the score memo (model
+/// results do not depend on the scenarios). `Clone` copies both into
+/// memos of the copy's own: the copy starts as warm as the original, and
+/// neither sees the other's later work.
+///
 /// # Example
 ///
 /// ```
@@ -123,6 +147,8 @@ pub struct ServeObjective {
     // a memo: genetic/annealing walkers revisit points freely without
     // paying the simulation twice.
     memo: Mutex<HashMap<PointKey, ServeScore>>,
+    // `e2e(L)` results under `params`, shared by every scoring's table.
+    model: ModelMemo,
 }
 
 impl Clone for ServeObjective {
@@ -136,6 +162,7 @@ impl Clone for ServeObjective {
             ranking: self.ranking,
             name: self.name.clone(),
             memo: Mutex::new(self.memo.lock().expect("serve objective memo poisoned").clone()),
+            model: self.model.clone(),
         }
     }
 }
@@ -156,6 +183,7 @@ impl ServeObjective {
             ranking: ScenarioRanking::WorstCase,
             name: "sla-goodput-per-cm2".to_string(),
             memo: Mutex::new(HashMap::new()),
+            model: ModelMemo::default(),
         }
     }
 
@@ -206,9 +234,12 @@ impl ServeObjective {
 
     /// Sets the model parameters in-loop scoring simulates with — match
     /// them to the sweeper's so the serving merit and the latency
-    /// numbers describe the same hardware.
+    /// numbers describe the same hardware. Empties both memos: scores and
+    /// model results computed under the old parameters no longer hold.
     pub fn with_params(mut self, params: ModelParams) -> Self {
         self.params = params;
+        self.memo.lock().expect("serve objective memo poisoned").clear();
+        self.model = ModelMemo::default();
         self
     }
 
@@ -233,18 +264,39 @@ impl ServeObjective {
         self.sla
     }
 
+    /// Distinct analytical-model results (`e2e_report_on` calls) this
+    /// objective has computed for its service-time tables: one per
+    /// `(chip, sequence length)`, whatever policies, fleets, fault
+    /// scenarios and threads asked for it. Scorings under other `params`
+    /// than the objective's own add nothing.
+    pub fn model_calls(&self) -> usize {
+        self.model.computed()
+    }
+
     /// Simulates the trace on `point` — through [`Fleet`], so the
     /// point's fleet axis (replicas, router, disaggregation) is honored
     /// — and scores the outcome. `area_cm2` is the design's **total**
     /// silicon ([`Evaluation::area_cm2`] for swept points).
+    ///
+    /// The scoring builds one service-time table and replays every fault
+    /// scenario on it. Under the objective's own parameters the table's
+    /// model results come from the model memo; under any other `params`
+    /// the table is built directly.
     pub fn score_point(
         &self,
         point: &DesignPoint,
         area_cm2: f64,
         params: &ModelParams,
     ) -> ServeScore {
+        // The fleet validates the point's policy before any table is built.
+        let fleet = Fleet::for_point(point, params);
+        let table = if *params == self.params {
+            ServiceTimeTable::build_memoized(point, params, &self.trace, &self.model)
+        } else {
+            ServeSim::for_point(point, params).service_times(&self.trace)
+        };
         if self.scenarios.is_empty() {
-            let report = Fleet::for_point(point, params).run(&self.trace);
+            let report = fleet.run_detailed_with(&table, &self.trace).merged;
             return ServeScore {
                 meets_sla: self.sla.met_by(&report),
                 goodput_per_cm2: if area_cm2 > 0.0 { report.goodput_rps / area_cm2 } else { 0.0 },
@@ -262,11 +314,11 @@ impl ServeObjective {
         //   infinite TTFT sample against the p99 bound: shedding more
         //   than 1% of the offered requests makes the p99 infinite and
         //   the scenario SLA-infeasible (no survivorship bias).
-        let detailed: Vec<crate::fleet::FleetReport> = self
+        let detailed: Vec<FleetReport> = self
             .scenarios
             .iter()
             .map(|spec| {
-                Fleet::for_point(point, params).with_faults(spec.clone()).run_detailed(&self.trace)
+                fleet.clone().with_faults(spec.clone()).run_detailed_with(&table, &self.trace)
             })
             .collect();
         let denom = detailed
@@ -331,8 +383,9 @@ impl ServeObjective {
         evaluations: &[Arc<Evaluation>],
         params: &ModelParams,
     ) -> Vec<(Arc<Evaluation>, ServeScore)> {
-        // Each design's replay is independent (its own ServiceTimeTable,
-        // its own report), so the frontier fans out across cores; the
+        // Each design's replay is independent (its own table and report;
+        // a shared model result is computed once, by whichever thread asks
+        // first), so the frontier fans out across cores; the
         // order-preserving collect keeps scoring deterministic.
         let score = |e: &Arc<Evaluation>| self.score_point(&e.point, e.area_cm2, params);
         let mut scored: Vec<(Arc<Evaluation>, ServeScore)> =
@@ -376,12 +429,86 @@ impl Objective for ServeObjective {
     }
 }
 
+/// One chip's `e2e(L)` seconds: a once-cell per sequence length, so a
+/// length is computed by whichever scoring asks first and every other
+/// scoring — on any thread — waits for that one result.
+#[derive(Debug, Default)]
+pub(crate) struct ChipResults(Mutex<HashMap<usize, Arc<OnceLock<f64>>>>);
+
+impl ChipResults {
+    /// `e2e(l)` for this chip, running `compute` only on the first
+    /// request for `l`.
+    pub(crate) fn get_or_compute(&self, l: usize, compute: impl FnOnce() -> f64) -> f64 {
+        let cell = Arc::clone(self.0.lock().expect("model memo poisoned").entry(l).or_default());
+        *cell.get_or_init(compute)
+    }
+
+    /// Lengths whose result has been computed.
+    fn computed(&self) -> usize {
+        self.0.lock().expect("model memo poisoned").values().filter(|c| c.get().is_some()).count()
+    }
+}
+
+impl Clone for ChipResults {
+    fn clone(&self) -> Self {
+        let cells = self.0.lock().expect("model memo poisoned");
+        ChipResults(Mutex::new(cells.iter().map(|(&l, c)| (l, Arc::new((**c).clone()))).collect()))
+    }
+}
+
+/// Analytical-model results for the tables of one [`ServeObjective`]:
+/// `e2e(L)` seconds keyed by chip and sequence length, each computed at
+/// most once however many scorings, threads and fault scenarios need it.
+/// A chip is the point minus everything the model never sees — its
+/// sequence length (a table evaluates the trace's own lengths), scheduler
+/// policy (chunk boundaries are just more lengths) and fleet. The memo
+/// holds one [`ModelParams`]' results; the objective keeps it away from
+/// every other parameterization.
+///
+/// `Clone` is a snapshot: the copy holds the results computed so far in
+/// cells of its own, so neither side sees the other's later work.
+#[derive(Debug, Default)]
+pub(crate) struct ModelMemo {
+    chips: Mutex<HashMap<PointKey, Arc<ChipResults>>>,
+}
+
+impl ModelMemo {
+    /// The results of `point`'s chip.
+    pub(crate) fn chip(&self, point: &DesignPoint) -> Arc<ChipResults> {
+        let chip = DesignPoint {
+            seq_len: 0,
+            policy: SchedulerPolicy::default(),
+            fleet: FleetSpec::default(),
+            ..point.clone()
+        };
+        let mut chips = self.chips.lock().expect("model memo poisoned");
+        Arc::clone(chips.entry(PointKey::of(&chip)).or_default())
+    }
+
+    /// Model results computed so far, over every chip.
+    pub(crate) fn computed(&self) -> usize {
+        self.chips.lock().expect("model memo poisoned").values().map(|c| c.computed()).sum()
+    }
+}
+
+impl Clone for ModelMemo {
+    fn clone(&self) -> Self {
+        let chips = self.chips.lock().expect("model memo poisoned");
+        ModelMemo {
+            chips: Mutex::new(
+                chips.iter().map(|(k, c)| (k.clone(), Arc::new(ChipResults::clone(c)))).collect(),
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traffic::{Arrivals, LengthMix, TrafficSpec};
-    use fusemax_dse::{DesignSpace, FleetSpec, Sweeper};
+    use fusemax_dse::{DesignSpace, QueueOrder, Sweeper};
     use fusemax_workloads::TransformerConfig;
+    use std::collections::BTreeSet;
 
     fn trace(rate: f64, requests: usize) -> Trace {
         TrafficSpec {
@@ -578,5 +705,130 @@ mod tests {
         // Four chips drain the same queue faster than one.
         assert!(fleet_score.report.ttft.p99 <= single_score.report.ttft.p99);
         assert!(fleet_score.report.makespan_s <= single_score.report.makespan_s);
+    }
+
+    /// 2 dims x 3 policies x 3 fleets: a small co-design space whose
+    /// policies and fleets share each chip's model results.
+    fn codesign_evaluations() -> Vec<Arc<Evaluation>> {
+        let space = DesignSpace::new()
+            .with_array_dims([64, 256])
+            .with_workloads([TransformerConfig::bert()])
+            .with_policies([
+                SchedulerPolicy::unbounded(),
+                SchedulerPolicy::chunked(256),
+                SchedulerPolicy::chunked(512).with_queue_order(QueueOrder::ShortestPromptFirst),
+            ])
+            .with_fleets([
+                FleetSpec::single(),
+                FleetSpec::replicated(2),
+                FleetSpec::disaggregated(1, 1),
+            ]);
+        Sweeper::new(ModelParams::default()).sweep(&space).evaluations
+    }
+
+    /// Every length one chip's tables evaluate for `t` under prefill
+    /// chunks `chunks`, derived from the trace alone: the prompts, the
+    /// chunk boundaries below each prompt, and the power-of-two decode
+    /// buckets spanning the decode contexts.
+    fn chip_lengths(t: &Trace, chunks: &[usize]) -> BTreeSet<usize> {
+        let mut lengths: BTreeSet<usize> = t.requests.iter().map(|r| r.prompt_tokens).collect();
+        for &chunk in chunks {
+            for r in &t.requests {
+                lengths.extend((chunk..r.prompt_tokens).step_by(chunk));
+            }
+        }
+        let decoding = t.requests.iter().filter(|r| r.output_tokens >= 2);
+        let lo = decoding.clone().map(|r| r.prompt_tokens + 1).min().expect("a decoding request");
+        let hi = decoding.map(|r| r.prompt_tokens + r.output_tokens - 1).max().unwrap();
+        let mut bucket = lo.next_power_of_two();
+        while bucket <= hi.next_power_of_two() {
+            lengths.insert(bucket);
+            bucket *= 2;
+        }
+        lengths
+    }
+
+    /// Parameters under which every design scores differently from the
+    /// defaults.
+    fn foreign_params() -> ModelParams {
+        ModelParams {
+            exp_maccs: 24.0,
+            fill_drain_factor: 4.0,
+            pipeline_warmup_epochs: 16.0,
+            ..ModelParams::default()
+        }
+    }
+
+    #[test]
+    fn model_calls_count_each_chip_length_once_across_policies_fleets_and_scenarios() {
+        let evaluations = codesign_evaluations();
+        let params = ModelParams::default();
+        let t = trace(100.0, 30);
+        let objective = ServeObjective::new(t.clone(), Sla::p99_ttft(0.25));
+        objective.rank(&evaluations, &params);
+        let distinct = 2 * chip_lengths(&t, &[256, 512]).len();
+        assert_eq!(objective.model_calls(), distinct);
+        let direct: usize = evaluations
+            .iter()
+            .map(|e| ServeSim::for_point(&e.point, &params).service_times(&t).model_evaluations())
+            .sum();
+        assert!(5 * distinct < direct, "{distinct} distinct vs {direct} per-scoring model calls");
+        objective.rank(&evaluations, &params);
+        assert_eq!(objective.model_calls(), distinct, "a second rank is all memo hits");
+
+        // Two fault scenarios replay one table per scoring.
+        let kill = FaultSpec::single_failure(0.5 * t.last_arrival_s(), 0);
+        let worst = ServeObjective::new(t, Sla::p99_ttft(0.25))
+            .with_fault_scenarios([FaultSpec::none(), kill], ScenarioRanking::WorstCase);
+        worst.rank(&evaluations, &params);
+        assert_eq!(worst.model_calls(), distinct);
+    }
+
+    #[test]
+    fn serial_and_parallel_ranks_agree_on_scores_and_model_calls() {
+        let evaluations = codesign_evaluations();
+        let params = ModelParams::default();
+        let parallel = ServeObjective::new(trace(100.0, 30), Sla::p99_ttft(0.25));
+        let serial = parallel.clone().with_parallelism(false);
+        let b = serial.rank(&evaluations, &params);
+        assert_eq!(parallel.model_calls(), 0, "a clone's memo is its own");
+        let a = parallel.rank(&evaluations, &params);
+        for ((ea, sa), (eb, sb)) in a.iter().zip(&b) {
+            assert_eq!(ea.point, eb.point);
+            assert_eq!(sa, sb);
+        }
+        assert_eq!(parallel.model_calls(), serial.model_calls());
+        assert_eq!(parallel.clone().model_calls(), parallel.model_calls(), "a clone starts warm");
+    }
+
+    #[test]
+    fn foreign_params_build_tables_directly_and_leave_the_memo_alone() {
+        let evaluations = codesign_evaluations();
+        let t = trace(100.0, 30);
+        let objective = ServeObjective::new(t.clone(), Sla::p99_ttft(0.25));
+        objective.rank(&evaluations, &ModelParams::default());
+        let before = objective.model_calls();
+        let foreign = foreign_params();
+        for (e, score) in objective.rank(&evaluations, &foreign) {
+            let direct = Fleet::for_point(&e.point, &foreign).run(&t);
+            assert_eq!(score.report, direct);
+            assert_ne!(direct, Fleet::for_point(&e.point, &ModelParams::default()).run(&t));
+        }
+        assert_eq!(objective.model_calls(), before);
+    }
+
+    #[test]
+    fn with_params_forgets_scores_and_model_results() {
+        let evaluation = &codesign_evaluations()[0];
+        let t = trace(100.0, 30);
+        let stale = ServeObjective::new(t.clone(), Sla::p99_ttft(0.25));
+        let default_score = stale.score_detailed(evaluation);
+        let switched = stale.with_params(foreign_params());
+        let fresh = ServeObjective::new(t, Sla::p99_ttft(0.25)).with_params(foreign_params());
+        assert_eq!(switched.model_calls(), 0);
+        let score = switched.score_detailed(evaluation);
+        assert_eq!(score, fresh.score_detailed(evaluation));
+        assert_ne!(score, default_score);
+        assert_eq!(switched.model_calls(), fresh.model_calls());
     }
 }

@@ -4,10 +4,16 @@
 //!
 //! The pre-table engine memoized service times lazily, which meant
 //! `fusemax_model::e2e_report_on` ran *inside* the iteration loop on
-//! first touch of each length — fine for one replay, wasteful when the
-//! [`crate::ServeObjective`] replays the same trace against a whole
-//! frontier or a search loop replays many traces against one design. A
-//! [`ServiceTimeTable`] hoists those calls to construction time:
+//! first touch of each length. A [`ServiceTimeTable`] hoists those calls
+//! to construction time, and a [`crate::ServeObjective`] shares them
+//! across its scorings: it builds **one table per scoring**, handed to
+//! every fault scenario's replay, and draws each `e2e(L)` from a
+//! per-objective `ModelMemo` keyed by chip and sequence length — so
+//! policy variants, fleet variants and the scenarios of one chip compute
+//! each `(chip, L)` once. The memo is a build-time argument, never a
+//! table field: lookups stay the same few loads either way.
+//!
+//! A table holds:
 //!
 //! * **prefill** — one entry per *distinct prompt length* in the trace
 //!   (prefill cost is exact in the prompt length, so bucketing it would
@@ -25,9 +31,10 @@
 //! the test suite asserts a table built for a trace serves its replay
 //! with zero misses — i.e. zero `e2e_report_on` calls inside the loop.
 
+use crate::objective::ModelMemo;
 use crate::traffic::Trace;
 use fusemax_arch::ArchConfig;
-use fusemax_dse::SchedulerPolicy;
+use fusemax_dse::{DesignPoint, SchedulerPolicy};
 use fusemax_model::{e2e_report_on, ConfigKind, ModelParams};
 use fusemax_workloads::TransformerConfig;
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,7 +55,8 @@ pub struct ServiceTimeTable {
     /// bucket's exponent (`trailing_zeros`); `None` outside the range the
     /// trace decodes in.
     decode_s_per_token: Vec<Option<f64>>,
-    /// Analytical-model calls spent building the table.
+    /// Analytical-model calls spent building the table (for a memoized
+    /// build: the results it drew, computed or not).
     model_evaluations: usize,
     /// Lookups that fell outside the precomputed set and paid for an
     /// on-demand model call (zero for any trace the table was built for).
@@ -66,6 +74,70 @@ impl ServiceTimeTable {
         workload: &TransformerConfig,
         params: ModelParams,
         trace: &Trace,
+    ) -> Self {
+        Self::build_from(kind, arch, workload, params, trace, None, Self::e2e_seconds)
+    }
+
+    /// Builds the table for `trace` replayed under `policy`: exactly
+    /// [`ServiceTimeTable::build`], plus — when the policy chunks prefill —
+    /// one entry per chunk boundary (`k · chunk_tokens` below each distinct
+    /// prompt length), so [`ServiceTimeTable::prefill_chunk_seconds`]
+    /// lookups during a chunked replay never miss. Under a whole-prompt
+    /// policy the table is identical to the plain build.
+    pub fn build_with_policy(
+        kind: ConfigKind,
+        arch: ArchConfig,
+        workload: &TransformerConfig,
+        params: ModelParams,
+        trace: &Trace,
+        policy: &SchedulerPolicy,
+    ) -> Self {
+        Self::build_from(
+            kind,
+            arch,
+            workload,
+            params,
+            trace,
+            policy.chunk_tokens,
+            Self::e2e_seconds,
+        )
+    }
+
+    /// [`ServiceTimeTable::build_with_policy`] for `point`'s chip and
+    /// scheduler policy, with every `e2e(L)` drawn from `memo`, which
+    /// must hold results for `params` only. The values are the ones a
+    /// direct build computes, bit for bit: a memo miss runs the same
+    /// function on the same inputs.
+    pub(crate) fn build_memoized(
+        point: &DesignPoint,
+        params: &ModelParams,
+        trace: &Trace,
+        memo: &ModelMemo,
+    ) -> Self {
+        let chip = memo.chip(point);
+        Self::build_from(
+            point.kind,
+            point.arch.clone(),
+            &point.workload,
+            params.clone(),
+            trace,
+            point.policy.chunk_tokens,
+            |table, l| chip.get_or_compute(l, || table.e2e_seconds(l)),
+        )
+    }
+
+    /// The one builder: evaluates `e2e(L)` through `e2e` at every distinct
+    /// prompt length, every power-of-two decode bucket, and — when
+    /// `chunk_tokens` is set — every chunk boundary below a prompt that is
+    /// not a prompt itself.
+    fn build_from(
+        kind: ConfigKind,
+        arch: ArchConfig,
+        workload: &TransformerConfig,
+        params: ModelParams,
+        trace: &Trace,
+        chunk_tokens: Option<usize>,
+        e2e: impl Fn(&Self, usize) -> f64,
     ) -> Self {
         let workload = workload.with_batch(1);
         let mut table = ServiceTimeTable {
@@ -96,7 +168,7 @@ impl ServiceTimeTable {
             });
 
         for &prompt in &prompts {
-            let s = table.e2e_seconds(prompt);
+            let s = e2e(&table, prompt);
             table.model_evaluations += 1;
             table.prefill_s.insert(prompt, s);
         }
@@ -105,7 +177,7 @@ impl ServiceTimeTable {
             let mut bucket = lo.max(1).next_power_of_two();
             table.decode_s_per_token = vec![None; top.trailing_zeros() as usize + 1];
             loop {
-                let s = table.e2e_seconds(bucket) / bucket as f64;
+                let s = e2e(&table, bucket) / bucket as f64;
                 table.model_evaluations += 1;
                 table.decode_s_per_token[bucket.trailing_zeros() as usize] = Some(s);
                 if bucket >= top {
@@ -114,25 +186,7 @@ impl ServiceTimeTable {
                 bucket *= 2;
             }
         }
-        table
-    }
-
-    /// Builds the table for `trace` replayed under `policy`: exactly
-    /// [`ServiceTimeTable::build`], plus — when the policy chunks prefill —
-    /// one entry per chunk boundary (`k · chunk_tokens` below each distinct
-    /// prompt length), so [`ServiceTimeTable::prefill_chunk_seconds`]
-    /// lookups during a chunked replay never miss. Under a whole-prompt
-    /// policy the table is identical to the plain build.
-    pub fn build_with_policy(
-        kind: ConfigKind,
-        arch: ArchConfig,
-        workload: &TransformerConfig,
-        params: ModelParams,
-        trace: &Trace,
-        policy: &SchedulerPolicy,
-    ) -> Self {
-        let mut table = Self::build(kind, arch, workload, params, trace);
-        if let Some(chunk) = policy.chunk_tokens {
+        if let Some(chunk) = chunk_tokens {
             let mut boundaries: BTreeSet<usize> = BTreeSet::new();
             for r in &trace.requests {
                 let mut b = chunk;
@@ -143,7 +197,7 @@ impl ServiceTimeTable {
             }
             for &b in &boundaries {
                 if !table.prefill_s.contains_key(&b) {
-                    let s = table.e2e_seconds(b);
+                    let s = e2e(&table, b);
                     table.model_evaluations += 1;
                     table.prefill_s.insert(b, s);
                 }
@@ -225,6 +279,7 @@ impl ServiceTimeTable {
 mod tests {
     use super::*;
     use crate::traffic::{Arrivals, LengthMix, TrafficSpec};
+    use fusemax_dse::{DesignSpace, FleetSpec};
 
     fn trace() -> Trace {
         TrafficSpec {
@@ -342,5 +397,68 @@ mod tests {
             chunked.prefill_chunk_seconds(0, 1024).to_bits(),
             chunked.prefill_seconds(1024).to_bits()
         );
+    }
+
+    /// A table's entries with their values as bit patterns.
+    fn bits(table: &ServiceTimeTable) -> (Vec<(usize, u64)>, Vec<Option<u64>>) {
+        (
+            table.prefill_s.iter().map(|(&l, s)| (l, s.to_bits())).collect(),
+            table.decode_s_per_token.iter().map(|s| s.map(f64::to_bits)).collect(),
+        )
+    }
+
+    /// The lengths a table evaluated the model at: its prefill entries and
+    /// decode buckets (a prompt may also be a bucket).
+    fn lengths(table: &ServiceTimeTable) -> BTreeSet<usize> {
+        let decode = table.decode_s_per_token.iter().enumerate();
+        let buckets = decode.filter(|(_, s)| s.is_some()).map(|(i, _)| 1usize << i);
+        table.prefill_s.keys().copied().chain(buckets).collect()
+    }
+
+    #[test]
+    fn memoized_builds_match_direct_builds_and_compute_each_length_once() {
+        let t = trace();
+        let params = ModelParams::default();
+        let memo = ModelMemo::default();
+        let mut point = DesignSpace::new()
+            .with_array_dims([128])
+            .with_workloads([TransformerConfig::bert()])
+            .points()
+            .remove(0);
+        let mut seen = BTreeSet::new();
+        for policy in [
+            SchedulerPolicy::unbounded(),
+            SchedulerPolicy::chunked(256),
+            SchedulerPolicy::chunked(100),
+        ] {
+            point.policy = policy;
+            let direct = ServiceTimeTable::build_with_policy(
+                point.kind,
+                point.arch.clone(),
+                &point.workload,
+                params.clone(),
+                &t,
+                &policy,
+            );
+            let memoized = ServiceTimeTable::build_memoized(&point, &params, &t, &memo);
+            assert_eq!(bits(&memoized), bits(&direct), "{policy}");
+            assert_eq!(memoized.model_evaluations(), direct.model_evaluations());
+            seen.extend(lengths(&direct));
+        }
+        assert_eq!(memo.computed(), seen.len());
+
+        // The sequence length and fleet are not part of the chip.
+        point.seq_len = 4096;
+        point.fleet = FleetSpec::replicated(2);
+        let _ = ServiceTimeTable::build_memoized(&point, &params, &t, &memo);
+        assert_eq!(memo.computed(), seen.len());
+        // Another chip computes its own.
+        let other = DesignSpace::new()
+            .with_array_dims([64])
+            .with_workloads([TransformerConfig::bert()])
+            .points()
+            .remove(0);
+        let table = ServiceTimeTable::build_memoized(&other, &params, &t, &memo);
+        assert_eq!(memo.computed(), seen.len() + lengths(&table).len());
     }
 }

@@ -112,15 +112,26 @@ impl LengthMix {
     ///
     /// # Panics
     ///
-    /// Panics if no choice is given, or any weight is non-positive or
-    /// non-finite.
+    /// Panics if [`LengthMix::try_new`] rejects the choices.
     pub fn new(choices: impl IntoIterator<Item = (usize, f64)>) -> Self {
-        let choices: Vec<(usize, f64)> = choices.into_iter().collect();
-        assert!(!choices.is_empty(), "a length mix needs at least one choice");
-        for &(tokens, w) in &choices {
-            assert!(w > 0.0 && w.is_finite(), "weight {w} for {tokens} tokens must be positive");
+        match Self::try_new(choices) {
+            Ok(mix) => mix,
+            Err(e) => panic!("invalid length mix: {e}"),
         }
-        LengthMix { choices }
+    }
+
+    /// A mix over explicit `(tokens, weight)` choices, or why it is not
+    /// one: no choice at all ([`SpecError::EmptyLengthMix`]), or a weight
+    /// that is not positive and finite ([`SpecError::BadLengthWeight`]).
+    pub fn try_new(choices: impl IntoIterator<Item = (usize, f64)>) -> Result<Self, SpecError> {
+        let choices: Vec<(usize, f64)> = choices.into_iter().collect();
+        if choices.is_empty() {
+            return Err(SpecError::EmptyLengthMix);
+        }
+        if choices.iter().any(|&(_, w)| !(w > 0.0 && w.is_finite())) {
+            return Err(SpecError::BadLengthWeight);
+        }
+        Ok(LengthMix { choices })
     }
 
     /// Every length equally likely.
@@ -338,6 +349,19 @@ mod tests {
     #[should_panic(expected = "arrival rate must be positive and finite")]
     fn generating_an_invalid_spec_panics_with_the_typed_reason() {
         let _ = spec(Arrivals::Poisson { rate_per_s: 0.0 }).generate(1);
+    }
+
+    #[test]
+    fn an_empty_mix_is_a_typed_error() {
+        assert_eq!(LengthMix::try_new([]), Err(SpecError::EmptyLengthMix));
+        assert_eq!(LengthMix::try_new([(64, 2.0)]), Ok(LengthMix::new([(64, 2.0)])));
+    }
+
+    #[test]
+    fn a_bad_weight_is_a_typed_error() {
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(LengthMix::try_new([(64, 1.0), (128, w)]), Err(SpecError::BadLengthWeight));
+        }
     }
 
     #[test]

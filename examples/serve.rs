@@ -283,6 +283,11 @@ fn main() {
             if score.meets_sla { "yes" } else { "NO" },
         );
     }
+    println!(
+        "ranked {} designs with {} analytical-model calls",
+        ranked.len(),
+        objective.model_calls()
+    );
 
     // --- 5. The punchline: serving merit vs single-point latency. ---
     let latency_best = evaluations

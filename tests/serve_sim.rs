@@ -14,13 +14,17 @@
 //!   whole-prompt/FCFS configuration, chunked replays conserve requests
 //!   and respect the per-iteration token budget, and an explicit
 //!   `SchedulerPolicy::unbounded()` reproduces the checked-in golden
-//!   serve trace byte for byte.
+//!   serve trace byte for byte;
+//! * shared model results — a `ServeObjective` computes each
+//!   (chip, sequence length) once, across policies, fleets and fault
+//!   scenarios.
 
 use fusemax::dse::search::{GeneticSearch, SearchBudget, SearchStrategy};
 use fusemax::dse::{DesignSpace, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::serve::{
-    Arrivals, LengthMix, QueueOrder, SchedulerPolicy, ServeObjective, ServeSim, Sla, TrafficSpec,
+    Arrivals, FaultSpec, FleetSpec, LengthMix, QueueOrder, RouterPolicy, ScenarioRanking,
+    SchedulerPolicy, ServeObjective, ServeSim, Sla, TrafficSpec,
 };
 use fusemax::telemetry::{serve_trace_json, Event, ServeEvent, VecSink};
 use fusemax::workloads::TransformerConfig;
@@ -296,6 +300,60 @@ fn codesigned_scheduler_beats_the_best_whole_prompt_fcfs_configuration() {
         whole_score.report.ttft.p99
     );
     assert!(whole_score.report.ttft.p99 > score.report.ttft.p99);
+
+    // One model call per (chip, length): the 43 scorings above would build
+    // tables worth 450 calls, but their six chips need only 17 lengths
+    // each (the multiples of 256 up to 4096, plus the 8192 decode bucket).
+    let scored = fixed.evaluations.iter().chain(&outcome.evaluations).map(|e| &e.point);
+    let direct: usize = scored
+        .chain([&whole])
+        .map(|p| {
+            ServeSim::for_point(p, &params).service_times(objective.trace()).model_evaluations()
+        })
+        .sum();
+    assert_eq!(objective.model_calls(), 6 * 17);
+    assert!(
+        4 * objective.model_calls() <= direct,
+        "{} model calls for scorings whose own tables cost {direct}",
+        objective.model_calls()
+    );
+}
+
+#[test]
+fn codesign_ranking_computes_each_chip_length_once() {
+    // The 144-point co-design space (6 dims x 6 policies x 4 fleets): a
+    // table per scoring costs 1,632 model calls, the 6 x 17 distinct
+    // (chip, length) pairs 102 — and a worst-case objective replaying two
+    // fault scenarios per scoring needs no more.
+    let params = ModelParams::default();
+    let trace = mixed_spec(300.0, 60).generate(7);
+    let space = DesignSpace::new()
+        .with_workloads([TransformerConfig::bert()])
+        .with_seq_lens([1 << 18])
+        .with_policies(policy_axis())
+        .with_fleets([
+            FleetSpec::single(),
+            FleetSpec::replicated(4),
+            FleetSpec::replicated(4).with_router(RouterPolicy::LeastLoaded),
+            FleetSpec::disaggregated(1, 3),
+        ]);
+    let evaluations = Sweeper::new(params.clone()).sweep(&space).evaluations;
+    assert_eq!(evaluations.len(), 144);
+    let direct: usize = evaluations
+        .iter()
+        .map(|e| ServeSim::for_point(&e.point, &params).service_times(&trace).model_evaluations())
+        .sum();
+    assert_eq!(direct, 1632);
+
+    let fault_free = ServeObjective::new(trace.clone(), Sla::p99_ttft(0.045));
+    fault_free.rank(&evaluations, &params);
+    assert!(fault_free.model_calls() <= 102, "{} model calls", fault_free.model_calls());
+
+    let kill = FaultSpec::single_failure(0.5 * trace.last_arrival_s(), 0);
+    let worst = ServeObjective::new(trace, Sla::p99_ttft(0.045))
+        .with_fault_scenarios([FaultSpec::none(), kill], ScenarioRanking::WorstCase);
+    worst.rank(&evaluations, &params);
+    assert!(worst.model_calls() <= fault_free.model_calls());
 }
 
 proptest! {
