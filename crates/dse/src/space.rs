@@ -70,6 +70,9 @@ pub enum SpecError {
     EmptyLengthMix,
     /// A traffic length-mix weight that is not positive and finite.
     BadLengthWeight,
+    /// A traffic length-mix choice of zero tokens: every prompt and
+    /// every output holds at least one token.
+    ZeroTokens,
 }
 
 impl fmt::Display for SpecError {
@@ -91,6 +94,7 @@ impl fmt::Display for SpecError {
             SpecError::BadLengthWeight => {
                 write!(f, "length-mix weights must be positive and finite")
             }
+            SpecError::ZeroTokens => write!(f, "a length-mix choice must hold at least one token"),
         }
     }
 }

@@ -5,8 +5,10 @@
 //! clock — the same contract as [`crate::TrafficSpec`]: plain data, fully
 //! determined by its inputs, and two runs of the same spec against the
 //! same trace are bit-identical. An **empty** spec is the explicit no-op:
-//! [`crate::Fleet`] takes its fault-free paths, so checked-in golden
-//! traces and reports stay byte-for-byte unchanged.
+//! [`crate::Fleet`] runs its one replicated path with every chip healthy
+//! forever, and disaggregated fleets still split onto their fault-free
+//! handoff policy, so checked-in golden traces and reports stay
+//! byte-for-byte unchanged.
 //!
 //! The timeline compiles ([`FaultSpec::segments`]) into per-replica
 //! *up-time segments*: half-open `[start, end)` windows during which the
@@ -116,8 +118,9 @@ impl RetryPolicy {
 /// the fleet reacts to it.
 ///
 /// The default / [`FaultSpec::none`] spec has no events and is the
-/// contract-preserving no-op: [`crate::Fleet`] detects it and runs its
-/// fault-free paths.
+/// contract-preserving no-op: one replicated path, in which every chip
+/// stays up; disaggregated fleets still split, and take their fault-free
+/// handoff policy under it.
 ///
 /// # Example
 ///

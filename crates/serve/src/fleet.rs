@@ -201,13 +201,13 @@ impl Fleet {
         self
     }
 
-    /// Injects a deterministic fault timeline. An empty spec
-    /// ([`FaultSpec::none`]) is the contract-preserving no-op: the run
-    /// takes the fault-free fleet paths and reproduces the golden traces
-    /// and reports byte-for-byte. A non-empty spec is validated against
-    /// the trace horizon at run time; on replicated fleets a timeline
-    /// that changes nothing reproduces the fault-free run byte-for-byte
-    /// (test-enforced).
+    /// Injects a deterministic fault timeline. A non-empty spec is
+    /// validated against the trace horizon at run time; an empty spec
+    /// ([`FaultSpec::none`]) is the no-op. There is one replicated path,
+    /// so a replicated timeline that changes nothing reproduces the empty
+    /// spec's run byte-for-byte (test-enforced). Disaggregated fleets
+    /// still split: under the empty spec they run the fault-free
+    /// handoff policy (ROADMAP item 2).
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self
@@ -255,21 +255,20 @@ impl Fleet {
     /// [`crate::ServeObjective`] scoring hands its one table to every
     /// fault scenario's replay.
     pub(crate) fn run_detailed_with(&self, costs: &ServiceTimeTable, trace: &Trace) -> FleetReport {
-        if self.faults.is_empty() {
-            // The fault-free paths skip `sweep_stage`'s per-request
-            // bookkeeping. On a no-op timeline the replicated paths agree
-            // byte-for-byte (test-enforced); the disaggregated ones place
-            // decode handoffs differently (ROADMAP item 2).
-            return match self.spec.prefill_decode {
-                None => self.run_replicated(trace, costs),
-                Some((p, d)) => self.run_disaggregated(trace, costs, p.max(1), d.max(1)),
-            };
-        }
-        if let Err(e) = self.faults.validate(trace.last_arrival_s()) {
-            panic!("invalid fault spec: {e}");
+        if !self.faults.is_empty() {
+            if let Err(e) = self.faults.validate(trace.last_arrival_s()) {
+                panic!("invalid fault spec: {e}");
+            }
         }
         match self.spec.prefill_decode {
-            None => self.run_replicated_faulted(trace, costs),
+            None => self.run_replicated(trace, costs),
+            // Two disaggregated policies: the fault-aware one places
+            // decode handoffs by chip health in prefill-completion order,
+            // the fault-free one routes them with the fleet's router in
+            // handoff-arrival order (ROADMAP item 2).
+            Some((p, d)) if self.faults.is_empty() => {
+                self.run_disaggregated(trace, costs, p.max(1), d.max(1))
+            }
             Some((p, d)) => self.run_disaggregated_faulted(trace, costs, p.max(1), d.max(1)),
         }
     }
@@ -316,47 +315,6 @@ impl Fleet {
             replica_events.push((name, sink.events()));
         }
         out
-    }
-
-    fn run_replicated(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
-        let n = self.spec.replicas.max(1);
-        let routes = self.stage1_routes(trace, Some(costs));
-        let mut subs: Vec<Trace> = vec![Trace::default(); n];
-        for (i, r) in trace.requests.iter().enumerate() {
-            let (at, req, replica) = (r.arrival_s, r.id as u64, routes[i]);
-            self.recorder.emit(|| Event::serve(at, ServeEvent::Route { req, replica }));
-            subs[replica].requests.push(*r);
-        }
-
-        let mut replicas = Vec::with_capacity(n);
-        let mut replica_events = Vec::new();
-        let (mut ttft, mut tpot, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
-        let mut attributions = Vec::with_capacity(trace.len());
-        let (mut completed, mut output_tokens) = (0usize, 0usize);
-        for (k, sub) in subs.iter().enumerate() {
-            let (report, samples) =
-                self.run_replica(format!("replica {k}"), sub, costs, false, &mut replica_events);
-            completed += report.completed;
-            output_tokens += report.output_tokens;
-            replicas.push(report);
-            ttft.extend_from_slice(&samples.ttft);
-            tpot.extend_from_slice(&samples.tpot);
-            e2e.extend_from_slice(&samples.e2e);
-            attributions.extend(samples.attributions);
-        }
-        let merged =
-            merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
-        FleetReport {
-            merged,
-            replicas,
-            routes,
-            kv_transfer_bytes: 0,
-            kv_transfer_s: 0.0,
-            replica_events,
-            attributions,
-            faults: FaultStats::default(),
-            shed_ids: Vec::new(),
-        }
     }
 
     fn run_disaggregated(
@@ -509,23 +467,27 @@ impl Fleet {
         }
     }
 
-    /// The failure-aware replicated path: one segment sweep over the
-    /// whole fleet, with in-sweep retry/re-route of displaced requests.
-    fn run_replicated_faulted(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
+    /// The replicated path: one segment sweep over the whole fleet, with
+    /// in-sweep retry/re-route of displaced requests. A healthy fleet
+    /// runs one window per chip over its routed share, so its report is
+    /// exactly independent replays of the shares (test-enforced).
+    fn run_replicated(&self, trace: &Trace, costs: &ServiceTimeTable) -> FleetReport {
         let n = self.spec.replicas.max(1);
         let segs = self.faults.segments(n);
         self.narrate_faults(n);
-        let base_routes = self.stage1_routes(trace, Some(costs));
-        let instances: Vec<PendInst> = trace
-            .requests
-            .iter()
-            .map(|r| PendInst { req: *r, orig_arrival_s: r.arrival_s, attempt: 0 })
-            .collect();
+        let mut routes = self.stage1_routes(trace, Some(costs));
         let mut aggs: Vec<ChipAgg> = (0..n).map(|_| ChipAgg::default()).collect();
         let mut chip_events: Vec<Vec<Event>> = vec![Vec::new(); n];
+        let mut attributions = Vec::with_capacity(trace.len());
+        let (mut ttft, mut e2e) =
+            (Vec::with_capacity(trace.len()), Vec::with_capacity(trace.len()));
         let out = self.sweep_stage(
-            instances,
-            &base_routes,
+            trace.requests.iter().map(|&req| PendInst {
+                req,
+                orig_arrival_s: req.arrival_s,
+                attempt: 0,
+            }),
+            &mut routes,
             &segs,
             0,
             costs,
@@ -533,33 +495,24 @@ impl Fleet {
             true,
             &mut aggs,
             &mut chip_events,
+            &mut |done, base| {
+                let attr = done.attribution(base);
+                if let Some(t) = attr.ttft_s {
+                    ttft.push(t);
+                }
+                e2e.push(attr.e2e_s);
+                attributions.push(attr);
+            },
         );
         debug_assert!(out.displaced.is_empty(), "in-stage retry never displaces");
 
-        let mut attributions = Vec::with_capacity(out.completions.len());
-        let (mut ttft, mut e2e) = (Vec::new(), Vec::new());
-        for (inst, done, base) in out.completions {
-            let attr = finish_attribution(&inst, done, base);
-            if let Some(t) = attr.ttft_s {
-                ttft.push(t);
-            }
-            e2e.push(attr.e2e_s);
-            attributions.push(attr);
-        }
-        let buffer = self.template.arch().global_buffer_bytes;
-        let replicas: Vec<ServeReport> = aggs.iter().map(|a| a.report(buffer)).collect();
         let tpot: Vec<f64> = aggs.iter().flat_map(|a| a.tpot.iter().copied()).collect();
+        let buffer = self.template.arch().global_buffer_bytes;
+        let replicas: Vec<ServeReport> = aggs.into_iter().map(|a| a.report(buffer)).collect();
         let completed = attributions.len();
-        let output_tokens = aggs.iter().map(|a| a.output_tokens).sum();
+        let output_tokens = replicas.iter().map(|r| r.output_tokens).sum();
         let merged =
             merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
-
-        let routes: Vec<usize> = out
-            .initial_chips
-            .iter()
-            .zip(&base_routes)
-            .map(|(c, &base)| c.unwrap_or(base))
-            .collect();
         let mut shed_ids = out.shed;
         shed_ids.sort_unstable();
         let replica_events = self.name_chip_events(chip_events, |k| format!("replica {k}"));
@@ -602,7 +555,7 @@ impl Fleet {
         let mut aggs: Vec<ChipAgg> = (0..p + d).map(|_| ChipAgg::default()).collect();
         let mut chip_events: Vec<Vec<Event>> = vec![Vec::new(); p + d];
         let mut attributions: Vec<LatencyAttribution> = Vec::with_capacity(trace.len());
-        let mut routes = self.stage1_routes(trace, Some(costs));
+        let mut routes = Vec::new();
         let mut shed_ids: Vec<usize> = Vec::new();
         let mut retries = 0usize;
         let mut output_tokens = 0usize;
@@ -627,10 +580,11 @@ impl Fleet {
                 a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
             });
             let tmp = Trace { requests: pending.iter().map(|i| i.req).collect() };
-            let base = self.stage1_routes(&tmp, Some(costs));
+            let mut placed = self.stage1_routes(&tmp, Some(costs));
+            let mut prefilled = Vec::new();
             let out = self.sweep_stage(
                 std::mem::take(&mut pending),
-                &base,
+                &mut placed,
                 pre_segs,
                 0,
                 costs,
@@ -638,11 +592,10 @@ impl Fleet {
                 true,
                 &mut aggs[..p],
                 &mut chip_events[..p],
+                &mut |done, attr| prefilled.push((done, attr)),
             );
             if round == 0 {
-                for ((c, &b), route) in out.initial_chips.iter().zip(&base).zip(&mut routes) {
-                    *route = c.unwrap_or(b);
-                }
+                routes = placed;
             }
             shed_ids.extend(out.shed);
             retries += out.retries;
@@ -654,11 +607,11 @@ impl Fleet {
             let mut dec_chip_of: HashMap<usize, usize> = HashMap::new();
             let mut kv_seconds_of: HashMap<usize, f64> = HashMap::new();
             let mut pre_attr_of: HashMap<usize, LatencyAttribution> = HashMap::new();
-            for (inst, done, attr) in out.completions {
-                let orig = orig_of[&inst.req.id];
+            for (inst, attr) in prefilled {
+                let (orig, done) = (orig_of[&inst.id], inst.done_s);
                 if orig.output_tokens <= 1 {
                     output_tokens += orig.output_tokens;
-                    attributions.push(finish_attribution(&inst, done, attr));
+                    attributions.push(inst.attribution(attr));
                     continue;
                 }
                 let Some((k, _, _)) = place_balanced(dec_segs, &dec_assigned, done) else {
@@ -690,14 +643,15 @@ impl Fleet {
             dec_insts.sort_by(|a, b| {
                 a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
             });
-            let dec_base: Vec<usize> = dec_insts.iter().map(|i| dec_chip_of[&i.req.id]).collect();
+            let mut dec_base: Vec<usize> =
+                dec_insts.iter().map(|i| dec_chip_of[&i.req.id]).collect();
 
             // Stage 2: decode on the surviving decode chips — no in-stage
             // retry, because a decode-chip death loses the K/V cache and
             // the displaced requests must re-prefill next round.
             let dec_out = self.sweep_stage(
                 dec_insts,
-                &dec_base,
+                &mut dec_base,
                 dec_segs,
                 p,
                 costs,
@@ -705,21 +659,19 @@ impl Fleet {
                 false,
                 &mut aggs[p..],
                 &mut chip_events[p..],
+                &mut |inst, _| {
+                    let pre = &pre_attr_of[&inst.id];
+                    let composed = LatencyAttribution::with_kv_handoff(
+                        pre,
+                        kv_seconds_of[&inst.id],
+                        inst.done_s - pre.arrival_s,
+                    );
+                    output_tokens += orig_of[&inst.id].output_tokens;
+                    attributions.push(inst.attribution(composed));
+                },
             );
             shed_ids.extend(dec_out.shed);
             retries += dec_out.retries;
-            for (inst, done, _) in dec_out.completions {
-                let id = inst.req.id;
-                let orig = orig_of[&id];
-                let pre = &pre_attr_of[&id];
-                let composed = LatencyAttribution::with_kv_handoff(
-                    pre,
-                    kv_seconds_of[&id],
-                    done - pre.arrival_s,
-                );
-                output_tokens += orig.output_tokens;
-                attributions.push(finish_attribution(&inst, done, composed));
-            }
             pending = dec_out
                 .displaced
                 .into_iter()
@@ -728,8 +680,6 @@ impl Fleet {
             round += 1;
         }
 
-        let buffer = self.template.arch().global_buffer_bytes;
-        let replicas: Vec<ServeReport> = aggs.iter().map(|a| a.report(buffer)).collect();
         let (mut ttft, mut e2e) = (Vec::new(), Vec::new());
         for a in &attributions {
             if let Some(t) = a.ttft_s {
@@ -738,6 +688,8 @@ impl Fleet {
             e2e.push(a.e2e_s);
         }
         let tpot: Vec<f64> = aggs.iter().flat_map(|a| a.tpot.iter().copied()).collect();
+        let buffer = self.template.arch().global_buffer_bytes;
+        let replicas: Vec<ServeReport> = aggs.into_iter().map(|a| a.report(buffer)).collect();
         let completed = attributions.len();
         let merged =
             merge_reports(&replicas, self.spec.chips(), completed, output_tokens, ttft, tpot, e2e);
@@ -764,20 +716,22 @@ impl Fleet {
 
     /// Serves one stage's instances across `segs.len()` chips that may
     /// fail and recover. Each instance is placed at its arrival into an
-    /// up-time window (its base route if alive, the next alive chip
+    /// up-time window (its route in `routes` if alive, the next alive chip
     /// otherwise, the earliest future window failing that, shed failing
-    /// *that*); windows run in order of their failure time so requests a
-    /// death displaces can re-enter a later window. With `retry_in_stage`
-    /// the displaced are re-routed here (replicated fleets, prefill
-    /// chips); without it they bubble out in
+    /// *that*), and `routes` is overwritten with the chip it landed on.
+    /// Windows run in order of their failure time so requests a death
+    /// displaces can re-enter a later window, and each request is handed
+    /// to `retire` with the engine's attribution as its window completes
+    /// it. With `retry_in_stage` the displaced are re-routed here
+    /// (replicated fleets, prefill chips); without it they bubble out in
     /// [`StageOutcome::displaced`] with their attempt already bumped and
     /// their arrival set to the backed-off re-admission time (decode
     /// chips, whose losses must re-prefill).
     #[allow(clippy::too_many_arguments)]
     fn sweep_stage(
         &self,
-        instances: Vec<PendInst>,
-        base_routes: &[usize],
+        instances: impl IntoIterator<Item = PendInst>,
+        routes: &mut [usize],
         segs: &[Vec<Segment>],
         chip_offset: usize,
         costs: &ServiceTimeTable,
@@ -785,29 +739,36 @@ impl Fleet {
         retry_in_stage: bool,
         aggs: &mut [ChipAgg],
         chip_events: &mut [Vec<Event>],
+        retire: &mut dyn FnMut(Retired, LatencyAttribution),
     ) -> StageOutcome {
         let n = segs.len();
-        let mut buckets: Vec<Vec<Vec<PendInst>>> =
+        let mut buckets: Vec<Vec<Vec<Request>>> =
             segs.iter().map(|chip| vec![Vec::new(); chip.len()]).collect();
+        // `(original arrival, attempt)` of the placed instances whose
+        // arrival moved: a retry, a handoff, or a placement clamped to a
+        // later window. Every other instance retires as its engine run saw
+        // it, at its trace arrival and attempt 0, with no lookup at all
+        // while nothing has moved (a healthy fleet).
+        let mut moved: HashMap<usize, (f64, usize)> = HashMap::new();
         let mut assigned = vec![0usize; n];
         let mut out = StageOutcome::default();
 
-        for (i, inst) in instances.into_iter().enumerate() {
-            let t = inst.req.arrival_s;
-            match place_from(segs, base_routes[i], t) {
+        for (inst, route) in instances.into_iter().zip(routes.iter_mut()) {
+            let (t, req) = (inst.req.arrival_s, inst.req.id as u64);
+            match place_from(segs, *route, t) {
                 Some((k, s, at)) => {
-                    let (req, replica) = (inst.req.id as u64, chip_offset + k);
+                    let replica = chip_offset + k;
                     self.recorder.emit(|| Event::serve(t, ServeEvent::Route { req, replica }));
                     assigned[k] += 1;
-                    out.initial_chips.push(Some(k));
-                    buckets[k][s]
-                        .push(PendInst { req: Request { arrival_s: at, ..inst.req }, ..inst });
+                    *route = k;
+                    if at != inst.orig_arrival_s || inst.attempt > 0 {
+                        moved.insert(inst.req.id, (inst.orig_arrival_s, inst.attempt));
+                    }
+                    buckets[k][s].push(Request { arrival_s: at, ..inst.req });
                 }
                 None => {
-                    let req = inst.req.id as u64;
                     self.recorder.emit(|| Event::serve(t, ServeEvent::Shed { req }));
                     out.shed.push(inst.req.id);
-                    out.initial_chips.push(None);
                 }
             }
         }
@@ -820,14 +781,11 @@ impl Fleet {
             segs[ka][sa].end_s.total_cmp(&segs[kb][sb].end_s).then(ka.cmp(&kb)).then(sa.cmp(&sb))
         });
         for (k, s) in order {
-            let mut bucket = std::mem::take(&mut buckets[k][s]);
-            if bucket.is_empty() {
+            let mut sub = Trace { requests: std::mem::take(&mut buckets[k][s]) };
+            if sub.is_empty() {
                 continue;
             }
-            bucket.sort_by(|a, b| {
-                a.req.arrival_s.total_cmp(&b.req.arrival_s).then(a.req.id.cmp(&b.req.id))
-            });
-            let sub = Trace { requests: bucket.iter().map(|i| i.req).collect() };
+            sub.requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
             let (recorder, sink) = if self.recorder.is_enabled() {
                 let (recorder, sink) = VecSink::recorder();
                 (recorder, Some(sink))
@@ -839,14 +797,14 @@ impl Fleet {
             if let Some(sink) = sink {
                 chip_events[k].extend(sink.events());
             }
-            aggs[k].absorb(&run.report, &run.samples);
-            let mut by_id: HashMap<usize, PendInst> =
-                bucket.into_iter().map(|i| (i.req.id, i)).collect();
-            for (&(id, done), attr) in run.samples.completions.iter().zip(&run.samples.attributions)
+            aggs[k].absorb(run.report, &run.samples);
+            for (&(id, done_s), attr) in
+                run.samples.completions.iter().zip(run.samples.attributions)
             {
-                let inst = by_id.remove(&id).expect("completion for an instance of this bucket");
                 debug_assert_eq!(attr.req, id);
-                out.completions.push((inst, done, attr.clone()));
+                let origin = if moved.is_empty() { None } else { moved.remove(&id) };
+                let (orig_arrival_s, attempt) = origin.unwrap_or((attr.arrival_s, 0));
+                retire(Retired { id, orig_arrival_s, attempt, done_s }, attr);
             }
             if run.lost_active.is_empty() && run.lost_waiting.is_empty() {
                 continue;
@@ -862,6 +820,7 @@ impl Fleet {
                 Some(w) => (survivors as f64) < w * n as f64,
                 None => false,
             };
+            let by_id: HashMap<usize, Request> = sub.requests.iter().map(|r| (r.id, *r)).collect();
             let mut lost_active = run.lost_active;
             lost_active.sort_unstable();
             let mut lost_waiting = run.lost_waiting;
@@ -871,14 +830,15 @@ impl Fleet {
                 .map(|id| (id, false))
                 .chain(lost_waiting.into_iter().map(|id| (id, true)));
             for (id, waiting) in losses {
-                let inst = by_id.remove(&id).expect("loss for an instance of this bucket");
+                let lost = *by_id.get(&id).expect("loss for a request of this window");
+                let (orig_arrival_s, attempt) = moved.remove(&id).unwrap_or((lost.arrival_s, 0));
                 let req = id as u64;
                 if waiting && shed_waiting {
                     self.recorder.emit(|| Event::serve(dead_at, ServeEvent::Shed { req }));
                     out.shed.push(id);
                     continue;
                 }
-                let attempt = inst.attempt + 1;
+                let attempt = attempt + 1;
                 if attempt > self.faults.retry.budget {
                     self.recorder.emit(|| Event::serve(dead_at, ServeEvent::Shed { req }));
                     out.shed.push(id);
@@ -899,11 +859,8 @@ impl Fleet {
                             self.recorder
                                 .emit(|| Event::serve(eff, ServeEvent::Route { req, replica }));
                             assigned[k2] += 1;
-                            buckets[k2][s2].push(PendInst {
-                                req: Request { arrival_s: at, ..inst.req },
-                                orig_arrival_s: inst.orig_arrival_s,
-                                attempt,
-                            });
+                            moved.insert(id, (orig_arrival_s, attempt));
+                            buckets[k2][s2].push(Request { arrival_s: at, ..lost });
                         }
                         None => {
                             self.recorder.emit(|| Event::serve(dead_at, ServeEvent::Shed { req }));
@@ -916,8 +873,8 @@ impl Fleet {
                         Event::serve(dead_at, ServeEvent::Retry { req, attempt, delay_s })
                     });
                     out.displaced.push(PendInst {
-                        req: Request { arrival_s: eff, ..inst.req },
-                        orig_arrival_s: inst.orig_arrival_s,
+                        req: Request { arrival_s: eff, ..lost },
+                        orig_arrival_s,
                         attempt,
                     });
                 }
@@ -928,7 +885,7 @@ impl Fleet {
 
     /// Labels the per-chip event streams for [`FleetReport::replica_events`]
     /// — one `(name, events)` entry per chip when traced (even for chips
-    /// that stayed idle), none otherwise, as on the fault-free paths.
+    /// that stayed idle), none otherwise.
     fn name_chip_events(
         &self,
         chip_events: Vec<Vec<Event>>,
@@ -941,10 +898,11 @@ impl Fleet {
     }
 }
 
-/// One not-yet-completed request instance flowing through the faulted
-/// fleet: the request as the next engine run will see it (its arrival is
-/// the effective re-admission time after any backoff), the original
-/// trace arrival, and how many retry attempts it has consumed.
+/// One not-yet-completed request instance entering a
+/// [`Fleet::sweep_stage`]: the request as the next engine run will see it
+/// (its arrival is the effective re-admission time after any backoff or
+/// K/V handoff), the original trace arrival, and how many retry attempts
+/// it has consumed.
 #[derive(Debug, Clone, Copy)]
 struct PendInst {
     req: Request,
@@ -952,95 +910,77 @@ struct PendInst {
     attempt: usize,
 }
 
-/// Accumulates one chip's reports and samples across the several engine
-/// runs its up-time windows produce, then renders a single
-/// [`ServeReport`] with the same derived-metric formulas as the engine.
+/// A request instance as a [`Fleet::sweep_stage`] window completes it:
+/// its trace id, original trace arrival, retry attempts consumed, and
+/// completion time.
+#[derive(Debug, Clone, Copy)]
+struct Retired {
+    id: usize,
+    orig_arrival_s: f64,
+    attempt: usize,
+    done_s: f64,
+}
+
+impl Retired {
+    /// The attribution the instance finally reports: `base` when the
+    /// request never waited on a failure, otherwise `base` re-timed
+    /// against the original arrival with the backoff and lost work in the
+    /// named `retry` bucket.
+    fn attribution(&self, base: LatencyAttribution) -> LatencyAttribution {
+        if self.attempt > 0 || base.arrival_s > self.orig_arrival_s {
+            LatencyAttribution::with_retry(
+                &base,
+                base.arrival_s - self.orig_arrival_s,
+                self.orig_arrival_s,
+                self.done_s - self.orig_arrival_s,
+            )
+        } else {
+            base
+        }
+    }
+}
+
+/// One chip's window reports and samples across the engine runs its
+/// up-time windows produce.
 #[derive(Debug, Clone, Default)]
 struct ChipAgg {
-    completed: usize,
-    output_tokens: usize,
-    iterations: usize,
-    busy_s: f64,
-    makespan_s: f64,
-    peak_resident_bytes: u64,
-    peak_batch: usize,
+    windows: Vec<ServeReport>,
     ttft: Vec<f64>,
     tpot: Vec<f64>,
     e2e: Vec<f64>,
 }
 
 impl ChipAgg {
-    fn absorb(&mut self, report: &ServeReport, samples: &RunSamples) {
-        self.completed += report.completed;
-        self.output_tokens += report.output_tokens;
-        self.iterations += report.iterations;
-        self.busy_s += report.busy_s;
-        self.makespan_s = self.makespan_s.max(report.makespan_s);
-        self.peak_resident_bytes = self.peak_resident_bytes.max(report.peak_resident_bytes);
-        self.peak_batch = self.peak_batch.max(report.peak_batch);
+    fn absorb(&mut self, report: ServeReport, samples: &RunSamples) {
+        self.windows.push(report);
         self.ttft.extend_from_slice(&samples.ttft);
         self.tpot.extend_from_slice(&samples.tpot);
         self.e2e.extend_from_slice(&samples.e2e);
     }
 
-    fn report(&self, buffer_bytes: u64) -> ServeReport {
-        let makespan = self.makespan_s;
+    /// The chip's report: its windows merged as a one-chip fleet, with
+    /// the chip's buffer even when no window ran.
+    fn report(self, buffer_bytes: u64) -> ServeReport {
+        let ChipAgg { windows, ttft, tpot, e2e } = self;
+        let completed = windows.iter().map(|w| w.completed).sum();
+        let output_tokens = windows.iter().map(|w| w.output_tokens).sum();
         ServeReport {
-            completed: self.completed,
-            output_tokens: self.output_tokens,
-            iterations: self.iterations,
-            makespan_s: makespan,
-            busy_s: self.busy_s,
-            goodput_rps: if makespan > 0.0 { self.completed as f64 / makespan } else { 0.0 },
-            token_throughput_per_s: if makespan > 0.0 {
-                self.output_tokens as f64 / makespan
-            } else {
-                0.0
-            },
-            utilization: if makespan > 0.0 { self.busy_s / makespan } else { 0.0 },
-            peak_resident_bytes: self.peak_resident_bytes,
-            peak_batch: self.peak_batch,
             buffer_bytes,
-            ttft: LatencyStats::of(&mut self.ttft.clone()),
-            tpot: LatencyStats::of(&mut self.tpot.clone()),
-            e2e: LatencyStats::of(&mut self.e2e.clone()),
+            ..merge_reports(&windows, 1, completed, output_tokens, ttft, tpot, e2e)
         }
     }
 }
 
-/// What one [`Fleet::sweep_stage`] pass produced.
+/// What one [`Fleet::sweep_stage`] pass produced besides its completions.
 #[derive(Debug, Default)]
 struct StageOutcome {
-    /// `(instance, completion time, engine attribution)` per completed
-    /// request, in deterministic window-processing order.
-    completions: Vec<(PendInst, f64, LatencyAttribution)>,
     /// Instances displaced by a failure when `retry_in_stage` is off:
     /// attempt already bumped, arrival set to the re-admission time.
     displaced: Vec<PendInst>,
     /// Request ids shed in this stage.
     shed: Vec<usize>,
-    /// The chip each *input* instance was initially placed on (`None` =
-    /// shed at routing time), parallel to the input order.
-    initial_chips: Vec<Option<usize>>,
     /// Retry attempts dispatched.
     retries: usize,
-}
-
-/// The attribution a completed instance finally reports: the engine's
-/// own attribution when the request never waited on a failure, otherwise
-/// re-timed against the original arrival with the backoff and lost work
-/// in the named `retry` bucket.
-fn finish_attribution(inst: &PendInst, done: f64, base: LatencyAttribution) -> LatencyAttribution {
-    if inst.attempt > 0 || base.arrival_s > inst.orig_arrival_s {
-        LatencyAttribution::with_retry(
-            &base,
-            base.arrival_s - inst.orig_arrival_s,
-            inst.orig_arrival_s,
-            done - inst.orig_arrival_s,
-        )
-    } else {
-        base
-    }
 }
 
 /// The first chip at or after `base` (cyclically) with an up-time window
@@ -1165,7 +1105,8 @@ fn merge_reports(
     mut e2e: Vec<f64>,
 ) -> ServeReport {
     let iterations: usize = replicas.iter().map(|r| r.iterations).sum();
-    let busy: f64 = replicas.iter().map(|r| r.busy_s).sum();
+    // From +0.0, so a chip that never ran reports 0 busy seconds, not -0.
+    let busy = replicas.iter().fold(0.0f64, |busy, r| busy + r.busy_s);
     let makespan = replicas.iter().map(|r| r.makespan_s).fold(0.0f64, f64::max);
     ServeReport {
         completed,
@@ -1359,11 +1300,13 @@ mod tests {
 
     #[test]
     fn a_no_op_fault_timeline_reproduces_the_fault_free_run_byte_for_byte() {
-        // A non-empty timeline that changes nothing forces the
-        // fault-aware path (`sweep_stage`), which must reproduce the
-        // fault-free replicated run: reports and per-chip event streams.
-        // Disaggregated fleets are left out: there the fault-aware path
-        // places decode handoffs by a different policy (ROADMAP item 2).
+        // A non-empty timeline that changes nothing (a x1.0 throttle, an
+        // `up` for a chip that is up) is validated, narrated and compiled
+        // into segments, and must still reproduce the empty spec's
+        // replicated run: reports and per-chip event streams. Both run
+        // the one replicated path. Disaggregated fleets are left out:
+        // there the empty spec takes the fault-free handoff policy
+        // (ROADMAP item 2).
         let trace = mixed_trace(300.0, 50);
         let spf = QueueOrder::ShortestPromptFirst;
         for policy in [

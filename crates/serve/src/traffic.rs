@@ -121,12 +121,16 @@ impl LengthMix {
     }
 
     /// A mix over explicit `(tokens, weight)` choices, or why it is not
-    /// one: no choice at all ([`SpecError::EmptyLengthMix`]), or a weight
-    /// that is not positive and finite ([`SpecError::BadLengthWeight`]).
+    /// one: no choice at all ([`SpecError::EmptyLengthMix`]), a choice of
+    /// zero tokens ([`SpecError::ZeroTokens`]), or a weight that is not
+    /// positive and finite ([`SpecError::BadLengthWeight`]).
     pub fn try_new(choices: impl IntoIterator<Item = (usize, f64)>) -> Result<Self, SpecError> {
         let choices: Vec<(usize, f64)> = choices.into_iter().collect();
         if choices.is_empty() {
             return Err(SpecError::EmptyLengthMix);
+        }
+        if choices.iter().any(|&(tokens, _)| tokens == 0) {
+            return Err(SpecError::ZeroTokens);
         }
         if choices.iter().any(|&(_, w)| !(w > 0.0 && w.is_finite())) {
             return Err(SpecError::BadLengthWeight);
@@ -362,6 +366,13 @@ mod tests {
         for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert_eq!(LengthMix::try_new([(64, 1.0), (128, w)]), Err(SpecError::BadLengthWeight));
         }
+    }
+
+    #[test]
+    fn a_zero_token_choice_is_a_typed_error() {
+        assert_eq!(LengthMix::try_new([(0, 1.0)]), Err(SpecError::ZeroTokens));
+        assert_eq!(LengthMix::try_new([(64, 1.0), (0, 2.0)]), Err(SpecError::ZeroTokens));
+        assert!(LengthMix::try_new([(1, 1.0)]).is_ok());
     }
 
     #[test]

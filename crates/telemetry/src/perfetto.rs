@@ -99,17 +99,25 @@ impl ChromeTrace {
     }
 
     /// Serialize: metadata first, then timed events stably sorted by
-    /// timestamp (ties keep insertion order).
+    /// timestamp (ties keep insertion order). The records go straight
+    /// into one string sized up front, so the export holds the document
+    /// once besides its records.
     pub fn to_json(&self) -> String {
         let mut timed: Vec<&(f64, String)> = self.timed.iter().collect();
         timed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite trace timestamps"));
-        let records: Vec<&str> = self
-            .meta
-            .iter()
-            .map(String::as_str)
-            .chain(timed.iter().map(|(_, json)| json.as_str()))
-            .collect();
-        format!("{{\"traceEvents\":[{}]}}", records.join(","))
+        let records = || self.meta.iter().chain(timed.iter().map(|(_, json)| json));
+        let (open, close) = ("{\"traceEvents\":[", "]}");
+        let len = open.len() + records().map(|r| r.len() + 1).sum::<usize>() + close.len();
+        let mut json = String::with_capacity(len);
+        json.push_str(open);
+        for (i, record) in records().enumerate() {
+            if i > 0 {
+                json.push(',');
+            }
+            json.push_str(record);
+        }
+        json.push_str(close);
+        json
     }
 }
 

@@ -6,9 +6,9 @@
 //!   the budget, K/V residency stays within every survivor's buffer,
 //!   retried attributions still fold bit-exactly, and faulted replays
 //!   are bit-identical;
-//! * the no-op contract — a timeline that changes nothing forces the
-//!   fault-aware fleet path, which reproduces the fault-free run byte for
-//!   byte on replicated fleets;
+//! * the no-op contract — on replicated fleets, which run one path, a
+//!   timeline that changes nothing reproduces the empty spec's run byte
+//!   for byte;
 //! * the tentpole acceptance — the same seeded guided search that picks
 //!   a lone big chip under the fault-free objective picks an N+1
 //!   redundant fleet once a single-failure scenario enters the
@@ -144,12 +144,14 @@ proptest! {
         prop_assert!(a.faults.retries <= requests * budget);
     }
 
-    /// The no-op contract: a non-empty timeline that changes nothing
-    /// forces the fault-aware fleet path, which must reproduce the
-    /// fault-free path's whole report, per-chip event streams included,
-    /// for every replicated topology, router and queue policy. (The
-    /// disaggregated fault-aware path places decode handoffs by a
-    /// different policy, so it is not a no-op there; see ROADMAP item 2.)
+    /// The no-op contract: a non-empty timeline that changes nothing is
+    /// validated, narrated and compiled into segments, and must still
+    /// reproduce the empty spec's whole report, per-chip event streams
+    /// included, for every replicated topology, router and queue policy.
+    /// Both run the one replicated path. (Disaggregated fleets still
+    /// split: under the empty spec they take the fault-free handoff
+    /// policy, so a no-op timeline is not a no-op there; see ROADMAP
+    /// item 2.)
     #[test]
     fn a_no_op_fault_timeline_is_byte_identical_to_the_fault_free_path(
         seed in 0u64..1_000_000_000,

@@ -1,10 +1,10 @@
 //! Fleet-serving gates (ISSUE 8):
 //!
 //! * conservation proptests — every request is routed exactly once
-//!   under every router policy, merged fleet quantiles equal the
-//!   quantiles of the concatenated per-request samples, and
-//!   seed-identical fleet replays are bit-identical (disaggregation
-//!   included);
+//!   under every router policy, a healthy replicated fleet equals
+//!   independent plain-sim replays of its routed shares (reports,
+//!   attributions and exact merged quantiles), and seed-identical fleet
+//!   replays are bit-identical (disaggregation included);
 //! * the tentpole acceptance — a seeded guided search with the serving
 //!   objective **in the loop** over the fleet-extended Fig 12 space
 //!   finds, at fixed total silicon, a multi-chip configuration whose
@@ -19,7 +19,8 @@ use fusemax::dse::search::{GeneticSearch, SearchBudget, SearchStrategy};
 use fusemax::dse::{DesignSpace, FleetSpec, RouterPolicy, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::serve::{
-    Arrivals, Fleet, LatencyStats, LengthMix, ServeObjective, ServeSim, Sla, Trace, TrafficSpec,
+    Arrivals, FaultStats, Fleet, LatencyStats, LengthMix, QueueOrder, SchedulerPolicy,
+    ServeObjective, ServeSim, Sla, Trace, TrafficSpec,
 };
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
@@ -37,13 +38,28 @@ fn mixed_spec(rate: f64, requests: usize) -> TrafficSpec {
 }
 
 fn binding_replica() -> ServeSim {
+    binding_replica_under(SchedulerPolicy::unbounded())
+}
+
+fn binding_replica_under(policy: SchedulerPolicy) -> ServeSim {
     let kind = ConfigKind::FuseMaxBinding;
     ServeSim::builder(kind, kind.default_arch(), TransformerConfig::bert(), ModelParams::default())
+        .policy(policy)
         .build()
 }
 
 const ROUTERS: [RouterPolicy; 3] =
     [RouterPolicy::RoundRobin, RouterPolicy::LeastLoaded, RouterPolicy::ShortestPrompt];
+
+/// Whole-prompt FCFS, chunk512/SPF and whole-prompt SPF.
+fn policies() -> [SchedulerPolicy; 3] {
+    let spf = QueueOrder::ShortestPromptFirst;
+    [
+        SchedulerPolicy::unbounded(),
+        SchedulerPolicy::chunked(512).with_queue_order(spf),
+        SchedulerPolicy::unbounded().with_queue_order(spf),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -75,24 +91,37 @@ proptest! {
         prop_assert_eq!(detailed.merged.e2e.samples, requests);
     }
 
-    /// Merged fleet quantiles are **exact**: identical to quantiles of
-    /// the concatenation of each replica's raw per-request samples
-    /// (never an average of per-replica summaries).
+    /// The replicated-fleet reference: a healthy replicated fleet is
+    /// exactly independent plain-sim replays of each routed share. Every
+    /// replica report equals its share's replay, the attributions are
+    /// the shares' attributions in replica order, and merged fleet
+    /// quantiles are **exact** — identical to quantiles of the
+    /// concatenated raw per-request samples (never an average of
+    /// per-replica summaries).
     #[test]
     fn merged_quantiles_equal_concatenated_sample_quantiles(
         seed in 0u64..1_000_000_000,
         requests in 2usize..40,
         replicas in 2usize..5,
         router_choice in 0usize..3,
+        policy_choice in 0usize..3,
     ) {
         let trace = mixed_spec(400.0, requests).generate(seed);
+        let policy = policies()[policy_choice];
+        let replica = || binding_replica_under(policy);
         let spec = FleetSpec::replicated(replicas).with_router(ROUTERS[router_choice]);
-        let fleet = Fleet::new(spec, binding_replica());
+        let fleet = Fleet::new(spec, replica());
         let detailed = fleet.run_detailed(&trace);
 
         let routes = fleet.route(&trace);
-        let costs = binding_replica().service_times(&trace);
+        prop_assert_eq!(&detailed.routes, &routes);
+        prop_assert_eq!(detailed.faults, FaultStats::default());
+        prop_assert!(detailed.shed_ids.is_empty());
+        prop_assert_eq!(detailed.kv_transfer_bytes, 0);
+        prop_assert_eq!(detailed.replicas.len(), replicas);
+        let costs = replica().service_times(&trace);
         let (mut ttft, mut tpot, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
+        let mut attributions = Vec::new();
         for k in 0..replicas {
             let sub = Trace {
                 requests: trace
@@ -103,11 +132,14 @@ proptest! {
                     .map(|(q, _)| *q)
                     .collect(),
             };
-            let (_, samples) = binding_replica().run_sampled_with(&costs, &sub);
+            let (report, samples) = replica().run_sampled_with(&costs, &sub);
+            prop_assert_eq!(&detailed.replicas[k], &report, "replica {} under {}", k, policy);
             ttft.extend(samples.ttft);
             tpot.extend(samples.tpot);
             e2e.extend(samples.e2e);
+            attributions.extend(samples.attributions);
         }
+        prop_assert_eq!(&detailed.attributions, &attributions);
         prop_assert_eq!(LatencyStats::of(&mut ttft), detailed.merged.ttft);
         prop_assert_eq!(LatencyStats::of(&mut tpot), detailed.merged.tpot);
         prop_assert_eq!(LatencyStats::of(&mut e2e), detailed.merged.e2e);
