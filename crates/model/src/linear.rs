@@ -42,12 +42,13 @@ pub fn layer_gemms(cfg: &TransformerConfig, seq_len: usize) -> Vec<GemmProblem> 
 
 /// Models the weight-times-activation layers of one encoder layer.
 ///
-/// Each GEMM's staging through the global buffer is chosen by the
-/// Timeloop-style [`search_gemm_mapping`] (the paper: "We use Timeloop to
-/// search for optimal mappings for these linear layers and use the same
-/// mappings for all three accelerator configurations"); the elementwise
-/// norms/residuals/ReLU stream on the 1D array concurrently (§IV-A: "the
-/// additional non-linearities have negligible impact").
+/// Each GEMM's staging through the global buffer is the least-traffic
+/// tiling that fits, found by the Timeloop-style [`search_gemm_mapping`]
+/// (the paper: "We use Timeloop to search for optimal mappings for these
+/// linear layers and use the same mappings for all three accelerator
+/// configurations"); the elementwise norms/residuals/ReLU stream on the 1D
+/// array concurrently (§IV-A: "the additional non-linearities have
+/// negligible impact").
 pub fn linear_report(
     cfg: &TransformerConfig,
     seq_len: usize,
