@@ -241,6 +241,15 @@ fn objective_energy(objective: &dyn Objective, evaluation: &Evaluation) -> f64 {
     }
 }
 
+/// A chain's move cap for a budget share of `share` distinct points:
+/// small per-group subspaces can be fully explored long before the share
+/// is spent, so the walker stops after 32 moves per point (plus 64)
+/// instead of spinning. Saturating, because a continuous run does not
+/// clamp its budget to the grid and its share may be `usize::MAX`.
+fn move_cap(share: usize) -> usize {
+    share.saturating_mul(32).saturating_add(64)
+}
+
 impl SearchStrategy for SimulatedAnnealing {
     fn name(&self) -> &'static str {
         "annealing"
@@ -382,6 +391,7 @@ impl SimulatedAnnealing {
 
         let mut weights = random_weights(&mut rng);
         let mut state = random_state(&mut rng);
+        session.count_proposals(1);
         let mut current = match session
             .evaluate_candidate(&state.candidate(space, relax, self.snap, wi, si))
         {
@@ -395,15 +405,14 @@ impl SimulatedAnnealing {
         };
         let mut current_energy = chain_energy(&current, &weights);
         let mut temp = self.initial_temp;
-        // Proposal cap: small per-group subspaces can be fully
-        // explored long before the share is spent; don't spin.
-        let mut proposals = 0usize;
-        let proposal_cap = share * 32 + 64;
+        let mut moves = 0usize;
+        let cap = move_cap(share);
 
         // The chain session's whole budget is its share, so exhaustion is
         // exactly "share spent".
-        while !session.exhausted() && proposals < proposal_cap {
-            proposals += 1;
+        while !session.exhausted() && moves < cap {
+            moves += 1;
+            session.count_proposals(1);
             let mut next = state;
             next.dim_log2 = (next.dim_log2 + rng.gen_range(-self.step_octaves..self.step_octaves))
                 .clamp(dim_lo, dim_hi);
@@ -450,6 +459,7 @@ impl SimulatedAnnealing {
                 // Frozen: restart toward a fresh Pareto corner.
                 weights = random_weights(&mut rng);
                 state = random_state(&mut rng);
+                session.count_proposals(1);
                 if let SessionEval::Evaluated(e) =
                     session.evaluate_candidate(&state.candidate(space, relax, self.snap, wi, si))
                 {
@@ -548,6 +558,16 @@ mod tests {
             assert_eq!(e.point.arch.frequency_hz, 940e6);
             assert_eq!(e.point.arch.dram_bw_bytes_per_sec, 400e9);
         }
+    }
+
+    #[test]
+    fn move_cap_saturates_instead_of_overflowing() {
+        assert_eq!(move_cap(0), 64);
+        assert_eq!(move_cap(30), 30 * 32 + 64);
+        // An unbounded continuous budget: no overflow, and no wrap to a
+        // tiny cap.
+        assert_eq!(move_cap(usize::MAX), usize::MAX);
+        assert_eq!(move_cap(usize::MAX / 32), usize::MAX);
     }
 
     #[test]

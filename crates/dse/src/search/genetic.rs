@@ -35,6 +35,22 @@ const OFFGRID_RATE: f64 = 0.35;
 /// crossover is uniform per axis, and mutation nudges ordered axes by ±1
 /// while resampling categorical ones.
 ///
+/// **Stalls.** A generation that stages no new point — every child a
+/// revisit of a point the run has already seen, or no child at all — is a
+/// stall, not progress. On a stall the searcher injects one immigrant: a
+/// grid genome the run has not seen, screened or staged (a few uniform
+/// draws, then a scan of the rest of the grid). Once every distinct grid
+/// point is known the search stops, so a budget larger than the space's
+/// distinct points (the budget clamps to grid cells, and an axis may
+/// repeat a value) ends the run instead of spinning. Generations that
+/// stage a new point never touch this path, and the immigrant consumes
+/// RNG only on a stall, so a seeded trajectory depends on the rule only
+/// from its first stall on. A run whose budget covers the space requests
+/// every distinct point, so it finds the exhaustive frontier.
+/// [`crate::search::SearchStats::proposals`] counts every seed genome,
+/// bred child and immigrant, including children dropped before staging
+/// as copies of population members.
+///
 /// Deterministic per seed; all evaluations flow through the shared
 /// [`crate::EvalCache`].
 ///
@@ -318,6 +334,7 @@ impl SearchStrategy for GeneticSearch {
         let mut attempts = 0usize;
         while seeds.len() < pop_target && !session.exhausted() && attempts < pop_target * 64 + 256 {
             attempts += 1;
+            session.count_proposals(1);
             let genome = random_genome(&mut rng, &lens);
             if seeds.iter().any(|s| s.genome == genome) {
                 continue;
@@ -350,6 +367,7 @@ impl SearchStrategy for GeneticSearch {
             let mut children: Vec<ChildSlot> = Vec::with_capacity(pop_target);
             let mut stall = 0usize;
             while children.len() < pop_target && !session.exhausted() && stall < pop_target * 16 {
+                session.count_proposals(1);
                 let pa = tournament_pick(&mut rng, &population, &ranks, tournament);
                 let pb = tournament_pick(&mut rng, &population, &ranks, tournament);
                 let mut child =
@@ -391,36 +409,24 @@ impl SearchStrategy for GeneticSearch {
                     StagedEval::Exhausted => break,
                 }
             }
-            // The generation's offspring evaluate as one parallel batch.
-            let children = resolve(children, session.flush());
-            if children.is_empty() {
-                // Breeding stalled (everything nearby already explored):
-                // inject a random immigrant to reopen the search, or stop
-                // if even that fails.
-                let mut injected = false;
-                for _ in 0..64 {
-                    if session.exhausted() {
-                        break;
-                    }
-                    let genome = random_genome(&mut rng, &lens);
-                    if population.iter().any(|m| m.genome == genome) {
-                        continue;
-                    }
-                    let candidate = Candidate::Grid(genome);
-                    if let SessionEval::Evaluated(evaluation) =
-                        session.evaluate_candidate(&candidate)
-                    {
-                        population.push(Member { genome, candidate, evaluation });
-                        injected = true;
-                        break;
-                    }
-                }
-                if !injected {
+            // A generation that staged no new point is a stall, whether it
+            // bred only revisits or nothing at all: breeding has stopped
+            // finding new points, and its children are dropped. Reopen the
+            // search with an immigrant the run has not seen, or stop once
+            // the grid is covered.
+            if !children.iter().any(|c| matches!(c.slot, Slot::Pending(_))) {
+                let Some(genome) = session.unseen_genome(&mut rng) else {
                     break;
+                };
+                session.count_proposals(1);
+                let candidate = Candidate::Grid(genome);
+                if let SessionEval::Evaluated(evaluation) = session.evaluate_candidate(&candidate) {
+                    population.push(Member { genome, candidate, evaluation });
                 }
                 continue;
             }
-            population.extend(children);
+            // The generation's offspring evaluate as one parallel batch.
+            population.extend(resolve(children, session.flush()));
 
             // Environmental selection: survivors by (front, scalar cost).
             let ranks = rank_members(&population);

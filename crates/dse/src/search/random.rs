@@ -77,6 +77,14 @@ impl RandomSearch {
     }
 }
 
+/// How many samples a run with `remaining` affordable points may draw:
+/// 64 per point plus 256, which bounds the rejection-sampling tail when
+/// the budget approaches the space's distinct points. Saturating, so no
+/// budget can overflow it.
+fn attempt_cap(remaining: usize) -> usize {
+    remaining.saturating_mul(64).saturating_add(256)
+}
+
 impl SearchStrategy for RandomSearch {
     fn name(&self) -> &'static str {
         "random"
@@ -100,13 +108,14 @@ impl SearchStrategy for RandomSearch {
         // (the batch charges the budget per sample, in draw order, so the
         // evaluated set is identical to the one-at-a-time path).
         let mut attempts = 0usize;
-        let cap = session.remaining().saturating_mul(64) + 256;
+        let cap = attempt_cap(session.remaining());
         while !session.exhausted() && attempts < cap {
             let mut chunk = Vec::with_capacity(self.batch);
             while chunk.len() < self.batch && attempts < cap {
                 attempts += 1;
                 chunk.push(Candidate::Grid(random_genome(&mut rng, &lens)));
             }
+            session.count_proposals(chunk.len());
             session.evaluate_batch(&chunk);
         }
         session.finish(self.name())
@@ -157,6 +166,14 @@ mod tests {
         let tiny = space().with_array_dims([64]).with_kinds([ConfigKind::FuseMaxBinding]);
         let outcome = RandomSearch::new(5).search(&sweeper, &tiny, SearchBudget::evaluations(1000));
         assert_eq!(outcome.stats.requested, 1);
+    }
+
+    #[test]
+    fn attempt_cap_saturates_instead_of_overflowing() {
+        assert_eq!(attempt_cap(0), 256);
+        assert_eq!(attempt_cap(8), 8 * 64 + 256);
+        assert_eq!(attempt_cap(usize::MAX), usize::MAX);
+        assert_eq!(attempt_cap(usize::MAX / 64), usize::MAX);
     }
 
     #[test]

@@ -93,6 +93,14 @@ pub struct SearchStats {
     /// actually exploit the parallel workers. The batched genetic
     /// searcher issues at least one per generation (test-enforced).
     pub multi_point_batches: usize,
+    /// Candidates the strategy drew: random samples, seed genomes, bred
+    /// children, immigrants, annealing moves and restarts. Counts the
+    /// draws that never reach the session too (a genetic child that
+    /// duplicates a population member is dropped before staging), so
+    /// `requested / proposals` is the share of the search's work that
+    /// found a new point. Bounded per strategy by a budget-proportional
+    /// constant (test-enforced).
+    pub proposals: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
@@ -109,6 +117,7 @@ impl SearchStats {
         self.screened += other.screened;
         self.batches += other.batches;
         self.multi_point_batches += other.multi_point_batches;
+        self.proposals += other.proposals;
     }
 }
 
@@ -164,6 +173,13 @@ pub trait SearchStrategy {
 
     /// Explores `space` through `sweeper` until `budget` is spent (or the
     /// strategy converges), returning the evaluations and frontiers found.
+    ///
+    /// A run also ends once the grid is covered, so a budget larger than
+    /// the space's distinct points never spins: the genetic searcher
+    /// stops when no grid point is left unseen, and the other strategies
+    /// stop at proposal caps proportional to their budget. Every run
+    /// draws a number of [`SearchStats::proposals`] bounded by its budget
+    /// (test-enforced).
     fn search(&self, sweeper: &Sweeper, space: &DesignSpace, budget: SearchBudget)
         -> SearchOutcome;
 }
@@ -238,7 +254,16 @@ pub(crate) struct Session<'a> {
     /// Chain sessions are buffered (`false`): only the root session
     /// publishes, once, after the deterministic merge.
     publish: bool,
+    /// Grid enumeration index below which every point is known to this
+    /// run (see [`Session::unseen_genome`]). Knowledge only grows, so
+    /// the scan never revisits a prefix.
+    grid_cursor: usize,
 }
+
+/// How many uniform draws [`Session::unseen_genome`] tries before it
+/// scans the grid: while much of the grid is unknown a draw almost always
+/// lands on an unseen point, so the scan only runs near coverage.
+const UNSEEN_DRAWS: usize = 64;
 
 impl<'a> Session<'a> {
     /// Opens a session. The effective budget is clamped to the space size
@@ -262,6 +287,7 @@ impl<'a> Session<'a> {
             events: Vec::new(),
             tracing: sweeper.recorder().is_enabled(),
             publish: true,
+            grid_cursor: 0,
         }
     }
 
@@ -325,6 +351,48 @@ impl<'a> Session<'a> {
     #[cfg(test)]
     pub(crate) fn requested(&self) -> usize {
         self.stats.requested
+    }
+
+    /// Counts `n` candidates the strategy drew ([`SearchStats::proposals`]).
+    /// Pure bookkeeping: it never touches the RNG or the budget.
+    pub(crate) fn count_proposals(&mut self, n: usize) {
+        self.stats.proposals += n;
+    }
+
+    /// `true` when this run has seen, screened or staged the point `key`
+    /// names — anything that re-proposing it would only revisit.
+    fn knows(&self, key: &PointKey) -> bool {
+        self.seen.contains_key(key)
+            || self.rejected.contains(key)
+            || self.pending_index.contains_key(key)
+    }
+
+    /// A grid genome whose point this run has not seen, screened or
+    /// staged: up to 64 uniform draws from `rng`, then one pass over the
+    /// rest of the grid in enumeration order. `None` once every grid
+    /// point is known — the grid is covered, and a strategy that needs a
+    /// new point should stop. Genomes are compared by their points'
+    /// keys, so an axis that repeats a value cannot hide a covered grid.
+    ///
+    /// Across a run the scan visits each grid index at most once: the
+    /// points below the cursor were known when it passed them, and a
+    /// known point stays known.
+    pub(crate) fn unseen_genome(&mut self, rng: &mut impl Rng) -> Option<AxisIndex> {
+        let lens = self.space.axis_lens();
+        for _ in 0..UNSEEN_DRAWS {
+            let genome = random_genome(rng, &lens);
+            if !self.knows(&PointKey::of(&self.space.point_at(genome))) {
+                return Some(genome);
+            }
+        }
+        while self.grid_cursor < self.space.len() {
+            let genome = grid_genome(self.grid_cursor, &lens);
+            if !self.knows(&PointKey::of(&self.space.point_at(genome))) {
+                return Some(genome);
+            }
+            self.grid_cursor += 1;
+        }
+        None
     }
 
     /// Evaluates the design point addressed by `genome` — the on-grid
@@ -579,6 +647,17 @@ pub(crate) fn random_genome(rng: &mut impl Rng, lens: &AxisIndex) -> AxisIndex {
     genome
 }
 
+/// The genome at position `index` of [`DesignSpace::points`]'s
+/// enumeration order (the last axis varies fastest).
+fn grid_genome(mut index: usize, lens: &AxisIndex) -> AxisIndex {
+    let mut genome = [0usize; 8];
+    for (slot, &n) in genome.iter_mut().zip(lens.iter()).rev() {
+        *slot = index % n;
+        index /= n;
+    }
+    genome
+}
+
 /// A weighted log-scalarization of a (positive) objective vector:
 /// `Σ wᵢ·ln(objᵢ)`. Monotone per objective, scale-free across objectives
 /// (halving latency is worth the same wherever it happens), so it makes a
@@ -720,6 +799,33 @@ mod tests {
         let s = space();
         let session = Session::new(&sweeper, &s, SearchBudget::evaluations(1_000_000));
         assert_eq!(session.remaining(), 6);
+    }
+
+    #[test]
+    fn grid_genomes_follow_the_enumeration_order() {
+        let s = space().with_buffer_scales([0.5, 1.0]);
+        let lens = s.axis_lens();
+        for (i, point) in s.points().iter().enumerate() {
+            assert_eq!(&s.point_at(grid_genome(i, &lens)), point, "index {i}");
+        }
+    }
+
+    #[test]
+    fn unseen_genomes_cover_each_distinct_point_once_then_run_out() {
+        // Six grid cells, four distinct points: both dim-64 cells of a kind
+        // materialize one point. Screened points count as known too.
+        let s = space().with_array_dims([64, 64, 256]);
+        let sweeper = Sweeper::new(ModelParams::default());
+        let mut session =
+            Session::new(&sweeper, &s, SearchBudget::evaluations(6)).with_screening(true);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut found = HashSet::new();
+        while let Some(genome) = session.unseen_genome(&mut rng) {
+            assert!(found.insert(PointKey::of(&s.point_at(genome))), "{genome:?} was known");
+            session.evaluate_candidate(&Candidate::Grid(genome));
+        }
+        assert_eq!(found.len(), 4);
+        assert_eq!(session.requested() + session.stats.screened, 4);
     }
 
     #[test]

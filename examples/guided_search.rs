@@ -99,10 +99,12 @@ fn main() {
             tracks.push((strategy.name().to_string(), stream));
         }
         println!(
-            "  {:>10}: {:5.1}% of the exhaustive hypervolume ({} evaluations, {:.2?})",
+            "  {:>10}: {:5.1}% of the exhaustive hypervolume ({} evaluations from {} proposals, \
+             {:.2?})",
             strategy.name(),
             fraction * 100.0,
             outcome.stats.requested,
+            outcome.stats.proposals,
             outcome.stats.elapsed,
         );
         if screen {

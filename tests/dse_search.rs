@@ -9,12 +9,14 @@
 //! writes the file, later runs start warm.
 
 use fusemax::dse::search::{
-    convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchStrategy,
-    SimulatedAnnealing, SnapPolicy,
+    convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchStats,
+    SearchStrategy, SimulatedAnnealing, SnapPolicy,
 };
-use fusemax::dse::{dominates, DesignSpace, EvalCache, Objectives, Sweeper};
+use fusemax::dse::{dominates, DesignSpace, EvalCache, Objectives, PointKey, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::workloads::TransformerConfig;
+use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The Fig 12 acceptance space: the paper's six array dimensions at 256K
 /// tokens, widened with the full configuration axis and the
@@ -491,6 +493,7 @@ fn parallel_runs_are_bit_identical_to_serial_per_seed() {
             assert_eq!(serial.stats.evaluated, parallel.stats.evaluated, "{name}: evaluated");
             assert_eq!(serial.stats.screened, parallel.stats.screened, "{name}: screened");
             assert_eq!(serial.stats.revisits, parallel.stats.revisits, "{name}: revisits");
+            assert_eq!(serial.stats.proposals, parallel.stats.proposals, "{name}: proposals");
             assert_eq!(serial.evaluations.len(), parallel.evaluations.len(), "{name}: length");
             for (a, b) in serial.evaluations.iter().zip(&parallel.evaluations) {
                 assert_eq!(a.point, b.point, "{name}: evaluation order diverged");
@@ -560,4 +563,154 @@ fn eval_cache_type_is_exported_for_external_tools() {
     let cache = EvalCache::new();
     assert!(cache.is_empty());
     assert_eq!(cache.absorb(Vec::new()), 0);
+}
+
+/// Distinct design points of `space`: grid cells whose axes repeat a
+/// value materialize the same point.
+fn distinct_points(space: &DesignSpace) -> usize {
+    space.points().iter().map(PointKey::of).collect::<HashSet<_>>().len()
+}
+
+/// An array-dimension axis that repeats values gives 30 grid cells but
+/// only 20 distinct points, so a budget clamped to the cells can never be
+/// spent. The genetic searcher used to breed revisits here forever; a
+/// generation that stages no new point is now a stall, and the search
+/// stops once every distinct point is known.
+#[test]
+fn genetic_search_stops_once_repeated_axis_values_cover_the_grid() {
+    let space = DesignSpace::new()
+        .with_workloads([TransformerConfig::bert()])
+        .with_kinds(ConfigKind::all())
+        .with_array_dims([64, 64, 128, 256, 512, 512]);
+    assert_eq!((space.len(), distinct_points(&space)), (30, 20));
+    let sweeper = Sweeper::new(ModelParams::default());
+    let outcome = GeneticSearch::new(1).search(&sweeper, &space, SearchBudget::evaluations(100));
+    assert_eq!(outcome.stats.requested, 20);
+    assert_eq!(outcome.evaluations.len(), 20);
+}
+
+/// A count the `par_eval` bench recorded in `tests/golden/bench_baseline.json`.
+fn bench_baseline(key: &str) -> usize {
+    let json = include_str!("golden/bench_baseline.json");
+    let value = json.split(&format!("\"{key}\":")).nth(1).expect("key in the bench baseline");
+    value.split(|c: char| !c.is_ascii_digit()).next().and_then(|v| v.parse().ok()).expect(key)
+}
+
+/// The `par_eval` bench's genetic arm — seeds 7 then 9 on one sweeper,
+/// over the 180-point space at budget 90 — gated exactly on the counts
+/// its baseline records (`bench_diff` allows them 10%). Neither run has
+/// a generation without a new point, so the stall rule must leave both
+/// trajectories as they were.
+#[test]
+fn par_eval_genetic_arm_matches_its_baseline_counts_exactly() {
+    let space = fig12_space();
+    let sweeper = Sweeper::new(ModelParams::default());
+    let budget = SearchBudget::evaluations(90);
+    let runs = [7, 9].map(|seed| GeneticSearch::new(seed).search(&sweeper, &space, budget).stats);
+    let total = |count: fn(&SearchStats) -> usize| runs.iter().map(count).sum::<usize>();
+    assert_eq!(total(|s| s.requested), bench_baseline("staged"));
+    assert_eq!(total(|s| s.evaluated), bench_baseline("full_evals"));
+    assert_eq!(total(|s| s.cache_hits), bench_baseline("cache_hits"));
+    assert_eq!(total(|s| s.batches), bench_baseline("flushes"));
+    assert_eq!(total(|s| s.screened), bench_baseline("screened_out"));
+}
+
+/// A small grid space from generated axis picks. The hardware axes may
+/// repeat a value, so some spaces hold fewer distinct points than cells;
+/// `groups` picks one to four distinct `(workload, seq_len)` groups.
+fn small_space(dims: &[usize], kinds: &[usize], scales: &[usize], groups: usize) -> DesignSpace {
+    let workloads = [TransformerConfig::bert(), TransformerConfig::xlm()];
+    DesignSpace::new()
+        .with_array_dims(dims.iter().map(|&i| [32, 64, 128, 256][i]))
+        .with_kinds(kinds.iter().map(|&i| ConfigKind::all()[i]))
+        .with_buffer_scales(scales.iter().map(|&i| [0.5, 1.0, 2.0][i]))
+        .with_workloads(workloads[..1 + groups % 2].iter().cloned())
+        .with_seq_lens([1 << 14, 1 << 18][..1 + groups / 2].iter().copied())
+}
+
+/// Proposal bound per unit of `min(evaluations + cheap, len) + 1`, from
+/// the loop caps, where `m = min(evaluations, len)`:
+///
+/// * random: at most `64m + 256` samples (its attempt cap), so 256;
+/// * annealing: a chain with share `s ≥ 1` draws one start, at most
+///   `32s + 64` moves and at most one restart per move, so
+///   `64s + 129 ≤ 193s`; chains with no share draw nothing, and the
+///   shares sum to `m`, so 193;
+/// * genetic, at population `P` (clamped to ≥ 2): the seed generation
+///   draws at most `64P + 256` genomes. A generation breeds until it has
+///   `P` children or `16P` failures in a row, at most `P + 16P(P + 1) + 1`
+///   draws, plus one immigrant. Every generation but the last adds a
+///   point to the run's seen or screened set, which holds at most
+///   `min(evaluations + cheap, len)` points, so
+///   `16P² + 81P + 258` per unit.
+fn proposals_per_unit(strategy: &str, population: usize) -> usize {
+    let p = population.max(2);
+    match strategy {
+        "random" => 256,
+        "annealing" => 193,
+        "genetic" => 16 * p * p + 81 * p + 258,
+        other => panic!("no proposal bound for {other}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every strategy terminates within a budget-proportional number of
+    /// proposals on small grid spaces — repeated axis values and budgets
+    /// far past the space included — requests no more than its budget or
+    /// the distinct points, and a covering genetic run requests (or
+    /// screens) every distinct point.
+    #[test]
+    fn every_strategy_does_bounded_work_on_small_spaces(
+        dims in prop::collection::vec(0usize..4, 1..4),
+        kinds in prop::collection::vec(0usize..5, 1..3),
+        scales in prop::collection::vec(0usize..3, 1..3),
+        groups in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let space = small_space(&dims, &kinds, &scales, groups);
+        let (len, distinct) = (space.len(), distinct_points(&space));
+        // Without screening the cache state cannot change a trajectory,
+        // so those runs share one sweeper. Screened runs start cold: the
+        // screen only tests points the cache does not hold.
+        let shared = Sweeper::new(ModelParams::default());
+        for budget in [1, len / 2, len, 10 * len, usize::MAX].map(SearchBudget::evaluations) {
+            for screening in [false, true] {
+                let strategies: [Box<dyn SearchStrategy>; 3] = [
+                    Box::new(RandomSearch::new(seed).with_screening(screening)),
+                    Box::new(GeneticSearch::new(seed).with_screening(screening)),
+                    Box::new(SimulatedAnnealing::new(seed).with_screening(screening)),
+                ];
+                for strategy in &strategies {
+                    let cold = Sweeper::new(ModelParams::default());
+                    let sweeper = if screening { &cold } else { &shared };
+                    let stats = strategy.search(sweeper, &space, budget).stats;
+                    let name = strategy.name();
+                    let case = format!(
+                        "{name} on {dims:?}/{kinds:?}/{scales:?}/{groups}, seed {seed}, \
+                         budget {}, screening {screening}",
+                        budget.evaluations
+                    );
+                    prop_assert!(stats.requested <= budget.evaluations.min(distinct), "{case}");
+                    // Every candidate the session classified was drawn.
+                    let staged = stats.requested + stats.revisits + stats.screened;
+                    let units = budget.evaluations.saturating_add(budget.cheap).min(len) + 1;
+                    // 16: the population `GeneticSearch::new` breeds.
+                    let bound = proposals_per_unit(name, 16) * units;
+                    prop_assert!(
+                        (staged..=bound).contains(&stats.proposals),
+                        "{case}: {} proposals, {staged} staged, bound {bound}",
+                        stats.proposals
+                    );
+                    if name == "genetic" && budget.evaluations >= distinct {
+                        prop_assert_eq!(stats.requested + stats.screened, distinct, "{case}");
+                        if !screening {
+                            prop_assert_eq!(stats.requested, distinct, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
