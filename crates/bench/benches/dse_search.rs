@@ -47,9 +47,8 @@ fn bench_strategies(c: &mut Criterion) {
         });
     }
     // Warm: the shared cache already holds the whole space, so a guided
-    // run is pure bookkeeping (the figure-regeneration path). Warm-starts
-    // from FUSEMAX_DSE_CACHE when CI restored the figures job's cache.
-    let warm = fusemax_bench::sweeper_from_env(ModelParams::default());
+    // run is pure bookkeeping (the figure-regeneration path).
+    let warm = Sweeper::new(ModelParams::default());
     let _ = warm.sweep(&space);
     for strategy in strategies(7) {
         group.bench_function(format!("{}_warm", strategy.name()), |b| {
@@ -94,12 +93,10 @@ fn main() {
         "random / genetic / annealing vs the exhaustive frontier at a 25% budget",
     );
 
-    // Headline quality numbers for the bench trajectory. The exhaustive
-    // baseline warm-starts from FUSEMAX_DSE_CACHE when CI restored the
-    // figures job's evaluation cache.
+    // Headline quality numbers for the bench trajectory.
     let space = search_space();
     let budget = SearchBudget::fraction(&space, 0.25);
-    let sweeper = fusemax_bench::sweeper_from_env(ModelParams::default());
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     println!(
         "space: {} points | budget: {} evaluations | exhaustive frontier: {} designs",

@@ -47,9 +47,7 @@ fn bench_sweep_modes(c: &mut Criterion) {
         })
     });
     // Warm cache: the figure-regeneration path after the first sweep.
-    // Warm-starts from FUSEMAX_DSE_CACHE when CI restored the figures
-    // job's evaluation-cache artifact.
-    let warm = fusemax_bench::sweeper_from_env(ModelParams::default());
+    let warm = Sweeper::new(ModelParams::default());
     let _ = warm.sweep(&space);
     group.bench_function("cached_resweep", |b| b.iter(|| black_box(warm.sweep(&space))));
     group.finish();

@@ -3,7 +3,7 @@
 //! the Fig 12 family — the serving counterpart of the DSE benches.
 
 use criterion::{BenchmarkId, Criterion};
-use fusemax_dse::DesignSpace;
+use fusemax_dse::{DesignSpace, Sweeper};
 use fusemax_model::{ConfigKind, ModelParams};
 use fusemax_serve::{Arrivals, LengthMix, ServeObjective, ServeSim, Sla, Trace, TrafficSpec};
 use fusemax_workloads::TransformerConfig;
@@ -61,7 +61,7 @@ fn bench_simulation(c: &mut Criterion) {
 fn bench_objective_ranking(c: &mut Criterion) {
     let params = ModelParams::default();
     let space = DesignSpace::new().with_workloads([TransformerConfig::bert()]);
-    let sweeper = fusemax_bench::sweeper_from_env(params.clone());
+    let sweeper = Sweeper::new(params.clone());
     let outcome = sweeper.sweep(&space);
     let objective = ServeObjective::new(trace(60), Sla::p99_ttft(0.25));
     let mut group = c.benchmark_group("serve_rank_fig12");

@@ -26,35 +26,6 @@ pub fn paper_note(note: &str) {
     println!("\n[paper] {note}\n");
 }
 
-/// A [`fusemax_dse::Sweeper`] warm-started from the cache file named by
-/// `FUSEMAX_DSE_CACHE`, when the variable is set and the file is readable
-/// — cold otherwise. The CI `bench smoke` job restores the `figures`
-/// job's evaluation-cache artifact this way, so benches share the figure
-/// regeneration's evaluations instead of recomputing them.
-pub fn sweeper_from_env(params: fusemax_model::ModelParams) -> fusemax_dse::Sweeper {
-    let sweeper = fusemax_dse::Sweeper::new(params);
-    if let Some(path) = std::env::var_os("FUSEMAX_DSE_CACHE") {
-        // Bench binaries run with the package directory as CWD, so
-        // resolve relative paths against the workspace root (two levels
-        // up from crates/bench) when nothing exists at the literal path.
-        let mut path = std::path::PathBuf::from(path);
-        if path.is_relative() && !path.exists() {
-            let from_root =
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(&path);
-            if from_root.exists() {
-                path = from_root;
-            }
-        }
-        match sweeper.load_cache(&path) {
-            Ok(n) => {
-                println!("[cache] warm-started with {n} evaluations from {}", path.display())
-            }
-            Err(e) => println!("[cache] could not load {}: {e}", path.display()),
-        }
-    }
-    sweeper
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

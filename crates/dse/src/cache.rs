@@ -1,5 +1,6 @@
-//! The keyed evaluation cache: repeated sweeps and figure regeneration
-//! reuse analytical-model results instead of recomputing them.
+//! The keyed in-memory evaluation cache: repeated sweeps, guided
+//! searches and figure regeneration on one [`crate::Sweeper`] reuse
+//! analytical-model results instead of recomputing them.
 
 use crate::space::{DesignPoint, FleetSpec, QueueOrder};
 use crate::sweep::Evaluation;
@@ -77,7 +78,7 @@ impl PointKey {
 
 /// How many ways [`EvalCache`] stripes its map by default: enough that a
 /// full complement of sweep workers rarely collides on one lock, small
-/// enough that `len`/`snapshot` stay cheap.
+/// enough that `len` stays cheap.
 const DEFAULT_SHARDS: usize = 16;
 
 /// One lock-striped shard of the cache map.
@@ -93,9 +94,8 @@ type Shard = Mutex<HashMap<PointKey, Arc<Evaluation>>>;
 /// Internally the map is **lock-striped**: keys hash to one of N shards,
 /// each behind its own mutex, so concurrent sweeps and guided searches
 /// stop contending on a single lock. Sharding is invisible to observers —
-/// hit/miss counters, `len`, and the sorted JSON serialization
-/// ([`crate::cache_json`]) are identical for every shard count
-/// (property-tested against the 1-shard cache).
+/// hit/miss counters, `len`, and the stored entries are identical for
+/// every shard count (property-tested against the 1-shard cache).
 #[derive(Debug)]
 pub struct EvalCache {
     shards: Box<[Shard]>,
@@ -243,32 +243,6 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Every cached evaluation, in arbitrary order (the JSON layer sorts
-    /// before writing, so serialized snapshots are still deterministic).
-    pub fn snapshot(&self) -> Vec<Arc<Evaluation>> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.lock().expect("cache poisoned").values().cloned().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Inserts evaluations loaded from disk, keying each by its own
-    /// design point. Keys already present keep their in-memory entry (the
-    /// live `Arc` identity must not change under consumers). Returns how
-    /// many entries were actually absorbed.
-    pub fn absorb(&self, evaluations: impl IntoIterator<Item = Arc<Evaluation>>) -> usize {
-        let mut added = 0;
-        for evaluation in evaluations {
-            let key = PointKey::of(&evaluation.point);
-            let mut map = self.shard(&key).lock().expect("cache poisoned");
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
-                slot.insert(evaluation);
-                added += 1;
-            }
-        }
-        added
-    }
-
     /// Drops every entry and zeroes the counters.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
@@ -312,6 +286,22 @@ mod tests {
     use crate::space::{arch_for, DesignPoint};
     use fusemax_model::ConfigKind;
     use fusemax_workloads::TransformerConfig;
+
+    /// Every entry as `Debug` text, sorted: two caches hold the same
+    /// entries exactly when these lists are equal, whatever their shard
+    /// counts.
+    fn sorted_entries(cache: &EvalCache) -> Vec<String> {
+        let mut entries: Vec<String> = cache
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let map = s.lock().expect("cache poisoned");
+                map.iter().map(|(k, e)| format!("{k:?} {e:?}")).collect::<Vec<_>>()
+            })
+            .collect();
+        entries.sort();
+        entries
+    }
 
     fn point(kind: ConfigKind, n: usize, seq_len: usize) -> DesignPoint {
         DesignPoint {
@@ -473,7 +463,7 @@ mod tests {
             assert_eq!(cache.len(), caches[0].len());
             assert_eq!(cache.hits(), caches[0].hits());
             assert_eq!(cache.misses(), caches[0].misses());
-            assert_eq!(crate::json::cache_json(cache), crate::json::cache_json(&caches[0]));
+            assert_eq!(sorted_entries(cache), sorted_entries(&caches[0]));
         }
     }
 
@@ -609,9 +599,7 @@ mod tests {
 
             /// Sharding is observationally invisible: the same operation
             /// sequence applied to 1-, 4-, and 16-shard caches yields the
-            /// same hits, misses, and length, and the serialized JSON —
-            /// including a save→load→save round trip — is byte-identical
-            /// across shard counts.
+            /// same hits, misses, length, and entries.
             #[test]
             fn sharded_cache_is_observationally_identical_to_one_shard(
                 dims in proptest::collection::vec(1usize..400, 1..6),
@@ -653,28 +641,18 @@ mod tests {
                     }
                 }
                 let reference = &caches[0];
-                let reference_json = crate::json::cache_json(reference);
+                let reference_entries = sorted_entries(reference);
                 for cache in &caches[1..] {
                     prop_assert_eq!(cache.len(), reference.len());
                     prop_assert_eq!(cache.hits(), reference.hits());
                     prop_assert_eq!(cache.misses(), reference.misses());
-                    prop_assert_eq!(&crate::json::cache_json(cache), &reference_json);
-                }
-
-                // save → load → save: absorbing the parsed JSON into a
-                // fresh cache of any shard count reproduces the bytes.
-                let parsed = crate::json::parse_cache_json(&reference_json).expect("parse");
-                for shards in [1usize, 4, 16] {
-                    let reloaded = EvalCache::with_shards(shards);
-                    reloaded.absorb(parsed.iter().cloned().map(Arc::new));
-                    prop_assert_eq!(&crate::json::cache_json(&reloaded), &reference_json);
+                    prop_assert_eq!(&sorted_entries(cache), &reference_entries);
                 }
             }
 
-            /// On-grid points keep their PR-2 keys: the key of a grid
-            /// point is a pure function of the materialized design, never
-            /// of how it was addressed — so caches written before the
-            /// off-grid extension resolve to the same entries.
+            /// On-grid keys are stable under addressing: the key of a
+            /// grid point is a pure function of the materialized design,
+            /// never of how it was addressed.
             #[test]
             fn grid_keys_are_stable_under_addressing(
                 dim_idx in 0usize..3,

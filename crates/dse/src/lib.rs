@@ -100,13 +100,6 @@
 //! objective attached, nothing changes (trajectories are preserved
 //! bit-for-bit).
 //!
-//! # Persistence
-//!
-//! The cache itself serializes to sorted, bit-exact JSON
-//! ([`cache_json`], [`Sweeper::save_cache`] / [`Sweeper::load_cache`]),
-//! so figure regeneration is free across *processes*, not just within
-//! one.
-//!
 //! # Example
 //!
 //! ```
@@ -144,10 +137,7 @@ mod sweep;
 mod validate;
 
 pub use cache::{record_cache_metrics, EvalCache, PointKey};
-pub use json::{
-    cache_json, frontier_json, frontiers_only_json, load_cache_file, parse_cache_json,
-    save_cache_file, PersistError,
-};
+pub use json::{frontier_json, frontiers_only_json};
 pub use objective::{MeritScore, Objective};
 pub use pareto::{dominates, pareto_ranks, Objectives, ParetoFrontier};
 pub use space::{

@@ -273,8 +273,18 @@ impl SearchStrategy for SimulatedAnnealing {
         let relax = Relaxation::new(space);
         let [n_workloads, n_seq_lens, ..] = space.axis_lens();
 
-        let groups: Vec<(usize, usize)> =
-            (0..n_workloads).flat_map(|wi| (0..n_seq_lens).map(move |si| (wi, si))).collect();
+        // One chain per distinct `(workload name, seq_len)`, the key
+        // frontier groups use: an axis that repeats a value names one
+        // group twice, and two chains on one group would each return a
+        // frontier for it. Each group keeps its first index pair.
+        let group_of =
+            |(wi, si): (usize, usize)| (space.workloads()[wi].name, space.seq_lens()[si]);
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        for pair in (0..n_workloads).flat_map(|wi| (0..n_seq_lens).map(move |si| (wi, si))) {
+            if !groups.iter().any(|&g| group_of(g) == group_of(pair)) {
+                groups.push(pair);
+            }
+        }
 
         // Pre-split the budget (and the cheap screening budget) evenly
         // across the chains, and give every chain its own seeded RNG

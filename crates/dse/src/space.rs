@@ -28,8 +28,8 @@ pub enum QueueOrder {
 }
 
 impl QueueOrder {
-    /// The stable lowercase token used in JSON persistence, CLI flags,
-    /// and report labels (`"fcfs"` / `"spf"`).
+    /// The stable lowercase token used in CLI flags and report labels
+    /// (`"fcfs"` / `"spf"`).
     pub fn token(self) -> &'static str {
         match self {
             QueueOrder::Fcfs => "fcfs",
@@ -208,8 +208,8 @@ pub enum RouterPolicy {
 }
 
 impl RouterPolicy {
-    /// The stable lowercase token used in JSON persistence, CLI flags,
-    /// and report labels (`"rr"` / `"ll"` / `"sp"`).
+    /// The stable lowercase token used in CLI flags and report labels
+    /// (`"rr"` / `"ll"` / `"sp"`).
     pub fn token(self) -> &'static str {
         match self {
             RouterPolicy::RoundRobin => "rr",
@@ -368,8 +368,7 @@ pub struct DesignPoint {
 /// variant into a concrete [`DesignPoint`]; the [`crate::PointKey`] of
 /// that point is derived from the *materialized* architecture
 /// field-by-field, so off-grid entries get canonical bit-exact cache keys
-/// and round-trip through the cache's JSON persistence exactly like
-/// on-grid ones.
+/// exactly like on-grid ones.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Candidate {
     /// On-grid: per-axis indices in [`AxisIndex`] order.
@@ -957,6 +956,18 @@ mod tests {
         assert_eq!(FleetSpec::disaggregated(1, 3).validate(), Ok(()));
         // The errors render human-readable reasons for CLI surfaces.
         assert_eq!(SpecError::NoReplicas.to_string(), "a fleet needs at least one replica");
+    }
+
+    #[test]
+    fn queue_order_tokens_round_trip() {
+        for order in [QueueOrder::Fcfs, QueueOrder::ShortestPromptFirst] {
+            assert_eq!(QueueOrder::parse(order.token()), Some(order));
+        }
+        assert_eq!(
+            QueueOrder::parse("shortest-prompt-first"),
+            Some(QueueOrder::ShortestPromptFirst)
+        );
+        assert_eq!(QueueOrder::parse("bogus"), None);
     }
 
     #[test]

@@ -271,28 +271,6 @@ impl Sweeper {
         &self.cache
     }
 
-    /// Persists the evaluation cache to `path` (see [`crate::cache_json`]
-    /// — sorted, bit-exact JSON), making figure regeneration free across
-    /// *processes*, not just within one.
-    pub fn save_cache(&self, path: impl AsRef<std::path::Path>) -> Result<(), crate::PersistError> {
-        crate::json::save_cache_file(&self.cache, path.as_ref())
-    }
-
-    /// Loads a cache file previously written by [`Sweeper::save_cache`]
-    /// into this sweeper's cache, returning how many entries were
-    /// absorbed.
-    ///
-    /// The caller is responsible for pairing a cache file with the
-    /// [`ModelParams`] that produced it — the file stores design-point
-    /// keys, and a sweeper trusts its cache blindly (exactly as it trusts
-    /// its in-memory entries).
-    pub fn load_cache(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<usize, crate::PersistError> {
-        crate::json::load_cache_file(&self.cache, path.as_ref())
-    }
-
     /// Evaluates one point through the analytical model, bypassing the
     /// cache. Pure: identical inputs give identical outputs.
     fn compute(&self, point: &DesignPoint) -> Evaluation {

@@ -52,7 +52,7 @@ pub use profile::{
 pub use sink::{FanoutSink, JsonLinesSink, Recorder, RingSink, TelemetrySink, VecSink};
 
 /// The JSON scalar writers every exporter in the workspace shares
-/// (telemetry streams and snapshots, the DSE frontier and cache files),
+/// (telemetry streams and snapshots, the DSE frontier files),
 /// so equal values always serialize to equal bytes.
 pub mod json {
     pub use crate::event::{num, quoted};

@@ -3,10 +3,7 @@
 //! area/latency/energy Pareto frontiers, demonstrate pruning and the
 //! evaluation cache, and replay the winners on the spatial simulator.
 //!
-//! Run with `cargo run --example design_space`. Pass
-//! `--cache-file <path>` (or set `FUSEMAX_DSE_CACHE`) to persist the
-//! evaluation cache across runs — the second invocation regenerates every
-//! figure without a single model evaluation.
+//! Run with `cargo run --example design_space`.
 
 use fusemax::arch::{ArchConfig, AreaModel};
 use fusemax::dse::{
@@ -14,48 +11,10 @@ use fusemax::dse::{
 };
 use fusemax::eval::fig12;
 use fusemax::model::{ConfigKind, ModelParams};
-use std::error::Error;
-use std::path::PathBuf;
 
-/// `--cache-file <path>` from argv, falling back to `FUSEMAX_DSE_CACHE`.
-fn cache_file_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--cache-file" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(path) = arg.strip_prefix("--cache-file=") {
-            return Some(PathBuf::from(path));
-        }
-    }
-    std::env::var_os("FUSEMAX_DSE_CACHE").map(PathBuf::from)
-}
-
-fn main() -> Result<(), Box<dyn Error>> {
-    // --- 0. Warm the cache from disk if a cache file was given. ---
+fn main() {
     let params = ModelParams::default();
     let sweeper = Sweeper::new(params.clone());
-    let cache_file = cache_file_arg();
-    if let Some(path) = &cache_file {
-        match sweeper.load_cache(path) {
-            Ok(n) => println!("Loaded {n} cached evaluations from {}.\n", path.display()),
-            // A missing file is the expected first run; any other I/O
-            // error (permissions, bad path) would also sink the save at
-            // exit, so fail fast instead of sweeping for nothing.
-            Err(fusemax::dse::PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                println!("No cache at {} yet; it will be written on exit.\n", path.display())
-            }
-            Err(e @ fusemax::dse::PersistError::Io(_)) => return Err(Box::new(e)),
-            // A corrupt file is a cold start, not a fatal error — it gets
-            // overwritten with a fresh cache on exit.
-            Err(fusemax::dse::PersistError::Parse(msg)) => {
-                println!(
-                    "Ignoring unreadable cache at {} ({msg}); starting cold.\n",
-                    path.display()
-                )
-            }
-        }
-    }
 
     // --- 1. The classic Fig 12 view, now a slice of the DSE sweep. ---
     let curves = fig12::fig12(&params);
@@ -141,15 +100,4 @@ fn main() -> Result<(), Box<dyn Error>> {
     if std::fs::write(&fig12_path, &fig12_json).is_ok() {
         println!("Fig 12 golden frontier written to {}.", fig12_path.display());
     }
-
-    // --- 7. Persist the cache so the next run is free. ---
-    if let Some(path) = &cache_file {
-        sweeper.save_cache(path)?;
-        println!(
-            "Cache ({} evaluations) saved to {}; rerun with the same flag for a free pass.",
-            sweeper.cache().len(),
-            path.display()
-        );
-    }
-    Ok(())
 }

@@ -81,9 +81,9 @@ fn main() {
     let trace_out = str_arg("--trace-out", "FUSEMAX_TRACE");
     let chunk_tokens = arg("--chunk-tokens", 0.0) as usize;
     let queue_order = match str_arg("--queue-order", "FUSEMAX_QUEUE_ORDER").as_deref() {
-        Some("spf") | Some("shortest-prompt-first") => QueueOrder::ShortestPromptFirst,
-        Some("fcfs") | None => QueueOrder::Fcfs,
-        Some(other) => panic!("unknown --queue-order {other:?} (expected fcfs or spf)"),
+        Some(tok) => QueueOrder::parse(tok)
+            .unwrap_or_else(|| panic!("unknown --queue-order {tok:?} (expected fcfs or spf)")),
+        None => QueueOrder::Fcfs,
     };
     let policy = if chunk_tokens > 0 {
         SchedulerPolicy::chunked(chunk_tokens)

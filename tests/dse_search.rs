@@ -3,10 +3,6 @@
 //! [`EvalCache`] (a guided run after a full sweep performs **zero** new
 //! model evaluations), and recovers ≥90% of the exhaustive Pareto
 //! hypervolume on the Fig 12 space within a 25% evaluation budget.
-//!
-//! Set `FUSEMAX_DSE_CACHE=<path>` to persist the suite's evaluations
-//! across test processes (the cache-on-disk ROADMAP item): the first run
-//! writes the file, later runs start warm.
 
 use fusemax::dse::search::{
     convergence, hypervolume_fraction, GeneticSearch, RandomSearch, SearchBudget, SearchStats,
@@ -45,16 +41,6 @@ fn multi_group_space() -> DesignSpace {
         .with_seq_lens([1 << 14, 1 << 18])
 }
 
-/// A sweeper warmed from `FUSEMAX_DSE_CACHE` when the env var names a
-/// cache file (see the module docs).
-fn sweeper() -> Sweeper {
-    let sweeper = Sweeper::new(ModelParams::default());
-    if let Some(path) = std::env::var_os("FUSEMAX_DSE_CACHE") {
-        let _ = sweeper.load_cache(std::path::Path::new(&path));
-    }
-    sweeper
-}
-
 /// The three strategies under test, seeded identically.
 fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
     vec![
@@ -67,7 +53,7 @@ fn strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
 #[test]
 fn every_strategy_recovers_90pct_hypervolume_at_quarter_budget() {
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let budget = SearchBudget::fraction(&space, 0.25);
     assert_eq!(budget.evaluations, 45);
@@ -93,16 +79,12 @@ fn every_strategy_recovers_90pct_hypervolume_at_quarter_budget() {
             outcome.stats.requested
         );
     }
-
-    if let Some(path) = std::env::var_os("FUSEMAX_DSE_CACHE") {
-        let _ = sweeper.save_cache(std::path::Path::new(&path));
-    }
 }
 
 #[test]
 fn guided_run_after_a_full_sweep_performs_zero_new_evaluations() {
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     sweeper.sweep(&space);
     let cached = sweeper.cache().len();
 
@@ -214,44 +196,13 @@ fn convergence_harness_tracks_hypervolume_vs_evaluations() {
 }
 
 #[test]
-fn cache_file_round_trip_feeds_guided_search() {
-    // The persistence path end to end: exhaust a space, save the cache,
-    // load it into a brand-new process-like sweeper, and run a guided
-    // search that should evaluate nothing.
-    let space = fig12_space();
-    let warm = Sweeper::new(ModelParams::default());
-    warm.sweep(&space);
-
-    let dir = std::env::temp_dir().join(format!("fusemax-dse-search-{}", std::process::id()));
-    let path = dir.join("fig12_cache.json");
-    warm.save_cache(&path).expect("save cache");
-
-    let fresh = Sweeper::new(ModelParams::default());
-    assert_eq!(fresh.load_cache(&path).expect("load cache"), space.len());
-    let outcome =
-        SimulatedAnnealing::new(9).search(&fresh, &space, SearchBudget::fraction(&space, 0.25));
-    assert_eq!(outcome.stats.evaluated, 0, "disk cache must make the guided run free");
-    assert_eq!(outcome.stats.cache_hits, outcome.stats.requested);
-
-    // Loaded evaluations are bit-identical to freshly computed ones.
-    let reference = Sweeper::new(ModelParams::default());
-    for evaluation in &outcome.evaluations {
-        let recomputed = reference.evaluate(&evaluation.point);
-        assert_eq!(evaluation.latency_s.to_bits(), recomputed.latency_s.to_bits());
-        assert_eq!(evaluation.energy_j.to_bits(), recomputed.energy_j.to_bits());
-        assert_eq!(evaluation.area_cm2.to_bits(), recomputed.area_cm2.to_bits());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn continuous_annealing_dominates_the_grid_frontier_off_grid() {
     // The tentpole acceptance: a SnapPolicy::Continuous annealing run on
     // the Fig 12 space must find at least one genuinely off-grid design
     // that Pareto-dominates a point on the exhaustive *grid* frontier —
     // proof that the grid cannot express the true frontier.
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let grid_frontier = exhaustive.frontier_points();
 
@@ -333,7 +284,7 @@ fn screening_cuts_full_evaluations_at_equal_hypervolume() {
     // screen spends cheap bound checks instead of model evaluations on
     // provably-dominated candidates.
     let space = fig12_space();
-    let sweeper = sweeper();
+    let sweeper = Sweeper::new(ModelParams::default());
     let exhaustive = sweeper.sweep(&space);
     let baseline = SearchBudget::fraction(&space, 0.25);
     assert_eq!(baseline.evaluations, 45);
@@ -415,10 +366,10 @@ fn screened_rejections_never_evict_real_frontier_points() {
 }
 
 #[test]
-fn off_grid_evaluations_round_trip_through_the_cache_file() {
-    // Off-grid entries must persist exactly like grid entries: same
-    // canonical keys, same bit-exact JSON, and a reloaded cache makes a
-    // continuous replay free.
+fn off_grid_evaluations_replay_from_the_shared_cache() {
+    // Off-grid entries are cached like grid entries, under canonical
+    // keys: a second continuous run on the warm sweeper evaluates nothing
+    // and returns the same points, bit for bit.
     let space = fig12_space();
     let warm = Sweeper::new(ModelParams::default());
     let run = || {
@@ -430,24 +381,15 @@ fn off_grid_evaluations_round_trip_through_the_cache_file() {
     };
     let first = run();
     assert!(first.evaluations.iter().any(|e| !space.is_on_grid(&e.point)));
-
-    let dir = std::env::temp_dir().join(format!("fusemax-dse-offgrid-{}", std::process::id()));
-    let path = dir.join("offgrid_cache.json");
-    warm.save_cache(&path).expect("save cache with off-grid entries");
-
-    let fresh = Sweeper::new(ModelParams::default());
-    assert_eq!(fresh.load_cache(&path).expect("load"), warm.cache().len());
-    let replay = SimulatedAnnealing::new(1).with_snap_policy(SnapPolicy::Continuous).search(
-        &fresh,
-        &space,
-        SearchBudget::evaluations(25),
-    );
-    assert_eq!(replay.stats.evaluated, 0, "off-grid replay must be free from the disk cache");
+    let replay = run();
+    assert_eq!(replay.stats.evaluated, 0, "off-grid replay must be free from the shared cache");
+    assert_eq!(replay.evaluations.len(), first.evaluations.len());
     for (a, b) in first.evaluations.iter().zip(&replay.evaluations) {
         assert_eq!(a.point, b.point);
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
+        assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
+        assert_eq!(a.area_cm2.to_bits(), b.area_cm2.to_bits());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The ISSUE-5 determinism contract: the batched/parallel evaluation path
@@ -558,11 +500,9 @@ fn genetic_search_issues_multi_point_batches_every_generation() {
 
 #[test]
 fn eval_cache_type_is_exported_for_external_tools() {
-    // The cache is part of the public API surface (external plotting
-    // tools absorb saved caches directly).
+    // The cache is part of the public API surface.
     let cache = EvalCache::new();
     assert!(cache.is_empty());
-    assert_eq!(cache.absorb(Vec::new()), 0);
 }
 
 /// Distinct design points of `space`: grid cells whose axes repeat a
@@ -615,17 +555,24 @@ fn par_eval_genetic_arm_matches_its_baseline_counts_exactly() {
     assert_eq!(total(|s| s.screened), bench_baseline("screened_out"));
 }
 
-/// A small grid space from generated axis picks. The hardware axes may
-/// repeat a value, so some spaces hold fewer distinct points than cells;
-/// `groups` picks one to four distinct `(workload, seq_len)` groups.
-fn small_space(dims: &[usize], kinds: &[usize], scales: &[usize], groups: usize) -> DesignSpace {
-    let workloads = [TransformerConfig::bert(), TransformerConfig::xlm()];
+/// A small grid space from generated axis picks. Any axis may repeat a
+/// value, so some spaces hold fewer distinct points than cells, and a
+/// repeated workload or sequence length names one `(workload, seq_len)`
+/// frontier group twice.
+fn small_space(
+    dims: &[usize],
+    kinds: &[usize],
+    scales: &[usize],
+    workloads: &[usize],
+    seq_lens: &[usize],
+) -> DesignSpace {
+    let models = [TransformerConfig::bert(), TransformerConfig::xlm()];
     DesignSpace::new()
         .with_array_dims(dims.iter().map(|&i| [32, 64, 128, 256][i]))
         .with_kinds(kinds.iter().map(|&i| ConfigKind::all()[i]))
         .with_buffer_scales(scales.iter().map(|&i| [0.5, 1.0, 2.0][i]))
-        .with_workloads(workloads[..1 + groups % 2].iter().cloned())
-        .with_seq_lens([1 << 14, 1 << 18][..1 + groups / 2].iter().copied())
+        .with_workloads(workloads.iter().map(|&i| models[i].clone()))
+        .with_seq_lens(seq_lens.iter().map(|&i| [1 << 14, 1 << 18][i]))
 }
 
 /// Proposal bound per unit of `min(evaluations + cheap, len) + 1`, from
@@ -659,17 +606,19 @@ proptest! {
     /// Every strategy terminates within a budget-proportional number of
     /// proposals on small grid spaces — repeated axis values and budgets
     /// far past the space included — requests no more than its budget or
-    /// the distinct points, and a covering genetic run requests (or
-    /// screens) every distinct point.
+    /// the distinct points, returns one frontier per distinct
+    /// `(workload, seq_len)` at most, and a covering genetic run requests
+    /// (or screens) every distinct point.
     #[test]
     fn every_strategy_does_bounded_work_on_small_spaces(
         dims in prop::collection::vec(0usize..4, 1..4),
         kinds in prop::collection::vec(0usize..5, 1..3),
         scales in prop::collection::vec(0usize..3, 1..3),
-        groups in 0usize..4,
+        workloads in prop::collection::vec(0usize..2, 1..3),
+        seq_lens in prop::collection::vec(0usize..2, 1..3),
         seed in 0u64..1_000_000,
     ) {
-        let space = small_space(&dims, &kinds, &scales, groups);
+        let space = small_space(&dims, &kinds, &scales, &workloads, &seq_lens);
         let (len, distinct) = (space.len(), distinct_points(&space));
         // Without screening the cache state cannot change a trajectory,
         // so those runs share one sweeper. Screened runs start cold: the
@@ -685,13 +634,17 @@ proptest! {
                 for strategy in &strategies {
                     let cold = Sweeper::new(ModelParams::default());
                     let sweeper = if screening { &cold } else { &shared };
-                    let stats = strategy.search(sweeper, &space, budget).stats;
+                    let outcome = strategy.search(sweeper, &space, budget);
+                    let stats = &outcome.stats;
                     let name = strategy.name();
                     let case = format!(
-                        "{name} on {dims:?}/{kinds:?}/{scales:?}/{groups}, seed {seed}, \
-                         budget {}, screening {screening}",
+                        "{name} on {dims:?}/{kinds:?}/{scales:?}/{workloads:?}/{seq_lens:?}, \
+                         seed {seed}, budget {}, screening {screening}",
                         budget.evaluations
                     );
+                    let groups: HashSet<(&str, usize)> =
+                        outcome.frontiers.iter().map(|g| (g.model.as_str(), g.seq_len)).collect();
+                    prop_assert_eq!(groups.len(), outcome.frontiers.len(), "{case}: repeated group");
                     prop_assert!(stats.requested <= budget.evaluations.min(distinct), "{case}");
                     // Every candidate the session classified was drawn.
                     let staged = stats.requested + stats.revisits + stats.screened;

@@ -6,6 +6,9 @@
 //!   the budget, K/V residency stays within every survivor's buffer,
 //!   retried attributions still fold bit-exactly, and faulted replays
 //!   are bit-identical;
+//! * a whole fleet down at once — every chip fail-stops at one instant
+//!   and none recovers, yet every request still completes or is shed
+//!   exactly once, within the retry budget and a counted iteration bound;
 //! * the no-op contract — on replicated fleets, which run one path, a
 //!   timeline that changes nothing reproduces the empty spec's run byte
 //!   for byte;
@@ -216,6 +219,50 @@ proptest! {
             "degrading the fleet shortened the run: {} < {}",
             degraded.merged.makespan_s, healthy.merged.makespan_s
         );
+    }
+}
+
+/// Every chip fail-stops at the same instant and none recovers, on every
+/// topology and router: each request completes XOR is shed exactly once,
+/// retries stay within the budget, and the engines stop after a number
+/// of iterations the trace bounds. Under whole-prompt prefill each
+/// committed iteration advances every request it holds by its prompt or
+/// one output token, so one attempt runs at most `1 + output_tokens`
+/// iterations across its prefill and decode chips.
+#[test]
+fn a_fleet_with_every_chip_down_at_once_sheds_or_completes_each_request_once() {
+    let requests = 40;
+    let trace = mixed_spec(800.0, requests).generate(7);
+    let horizon = trace.last_arrival_s();
+    let budget = 2;
+    let max_output = trace.requests.iter().map(|r| r.output_tokens).max().expect("requests");
+    for frac in [0.25, 0.5, 0.75] {
+        for topology in topologies() {
+            for router in ROUTERS {
+                let spec = topology.with_router(router);
+                let faults = (0..spec.chips())
+                    .fold(FaultSpec::none(), |f, chip| f.down(frac * horizon, chip))
+                    .with_retry(RetryPolicy { budget, ..RetryPolicy::default() });
+                assert!(faults.validate(horizon).is_ok());
+                let run =
+                    Fleet::new(spec, binding_replica()).with_faults(faults).run_detailed(&trace);
+                let case = format!("{spec}, all down at {frac} of the trace");
+
+                let mut ids: Vec<usize> = run.attributions.iter().map(|t| t.req).collect();
+                ids.extend(&run.shed_ids);
+                ids.sort_unstable();
+                assert_eq!(ids, (0..requests).collect::<Vec<_>>(), "{case}");
+                assert_eq!(run.merged.completed + run.faults.shed, requests, "{case}");
+                assert!(run.faults.shed > 0, "{case}: a dead fleet must shed");
+                assert!(run.faults.retries <= requests * budget, "{case}");
+                let attempts = requests + run.faults.retries;
+                assert!(
+                    run.merged.iterations <= attempts * (1 + max_output),
+                    "{case}: {} iterations for {attempts} attempts",
+                    run.merged.iterations
+                );
+            }
+        }
     }
 }
 
