@@ -62,7 +62,7 @@ impl ArchConfig {
     /// area comes out 6.4 % smaller, matching the paper's iso-area setup
     /// (§VI-A chose FuseMax's buffer "so that the overall chip area was as
     /// close to FLAT's as possible"). Baseline softmax Einsums are charged
-    /// one 1D op each (see DESIGN.md §1.9 note 1), hence
+    /// one 1D op each (the Timeloop convention of the baselines), hence
     /// [`ExpCost::SingleOp`].
     pub fn flat_cloud() -> Self {
         Self {

@@ -3,8 +3,8 @@
 //! The constants are 45 nm-flavored values chosen so the paper's
 //! qualitative energy statements hold (FuseMax energy ≥ 95 % MACC compute;
 //! baseline energy dominated by DRAM/global-buffer traffic plus QK/AV
-//! compute). They are *not* calibrated against SPICE data — see DESIGN.md
-//! §1.9 note 2.
+//! compute). They are *not* calibrated against SPICE data, so compare
+//! energies across configurations rather than as absolute joules.
 
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};

@@ -36,8 +36,8 @@ impl fmt::Display for PeOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpCost {
     /// A dedicated/assumed single-cycle unit (how the baselines' Timeloop
-    /// models charge softmax Einsums — see DESIGN.md §1.9 calibration
-    /// note 1).
+    /// models charge softmax Einsums: one 1D op per iteration-space
+    /// point).
     SingleOp,
     /// Chained multiply–accumulates (the paper implements exponentiation
     /// with 6 sequential MACCs on both FuseMax arrays, citing a Taylor

@@ -1,4 +1,4 @@
-//! Ablations called out in DESIGN.md: pass-count vs compute trade-offs
+//! Ablations of the modeling choices: pass-count vs compute trade-offs
 //! (Cascades 1-3), the division-deferral optimization (IV-D), and the
 //! exponential-cost sensitivity of the FuseMax design point.
 

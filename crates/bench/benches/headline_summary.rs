@@ -9,7 +9,7 @@ fn main() {
     println!("{}", serving_headline(&ModelParams::default()));
     fusemax_bench::paper_note(
         "paper: attention 6.7x vs FLAT (79% energy), 10x vs unfused (77%); \
-         end-to-end 5.3x vs FLAT (83%), 7.6x vs unfused (82%). See EXPERIMENTS.md \
-         for the measured-vs-paper discussion.",
+         end-to-end 5.3x vs FLAT (83%), 7.6x vs unfused (82%). The analytical model \
+         stands in for the paper's Timeloop/Accelergy setup: expect its shapes, not its digits.",
     );
 }

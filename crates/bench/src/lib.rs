@@ -5,8 +5,8 @@
 //! Each bench target in `benches/` regenerates one table or figure from
 //! the paper's evaluation (§VI) and prints the same rows/series the paper
 //! reports; `cargo bench` therefore reproduces the entire evaluation. The
-//! `criterion_*` targets are conventional wall-clock micro-benchmarks of
-//! the library itself.
+//! targets print modeled cycles and energy, not host time: the simulator's
+//! own wall clock is measured by `perfbench/`.
 
 /// Prints a banner naming the experiment and its paper anchor.
 ///

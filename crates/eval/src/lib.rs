@@ -5,8 +5,8 @@
 //!
 //! Each `figN` module produces the same rows/series the paper reports as
 //! plain data ([`Grid`]s), plus text renderers, so the bench targets in
-//! `crates/bench` can print them. The per-experiment index lives in
-//! DESIGN.md §2; paper-vs-measured comparisons live in EXPERIMENTS.md.
+//! `crates/bench` can print them, one bench target per table or figure;
+//! the goldens under `tests/golden/` pin every render.
 //!
 //! # Example
 //!

@@ -172,8 +172,8 @@ mod tests {
     fn headline_shapes_match_the_paper() {
         // Paper: 6.7×/79% (attention) and 5.3×/83% (e2e) vs FLAT; 10×/77%
         // and 7.6×/82% vs unfused. Our substrate is an analytical model of
-        // our own construction, so we check bands, not exact values (see
-        // EXPERIMENTS.md for the measured numbers).
+        // our own construction, so we check bands, not exact values (the
+        // `headline_summary` bench prints the measured numbers).
         let h = headline(&ModelParams::default());
         assert!(
             (4.0..14.0).contains(&h.attention_speedup_vs_flat),

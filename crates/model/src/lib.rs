@@ -24,8 +24,8 @@
 //!
 //! Latency follows a roofline over fused regions — `max(2D compute, 1D
 //! compute, DRAM)` — with explicit DRAM/global-buffer traffic accounting
-//! feeding [`fusemax_arch::EnergyBreakdown`]s. Modeling calibration choices
-//! are documented in DESIGN.md §1.9.
+//! feeding [`fusemax_arch::EnergyBreakdown`]s. Each calibration choice is
+//! documented on its [`ModelParams`] field.
 //!
 //! # Example
 //!

@@ -1,11 +1,11 @@
-//! Tunable modeling parameters (all defaults documented in DESIGN.md §1.9).
+//! Tunable modeling parameters; each field documents its default and why.
 
 /// Knobs of the analytical model, exposed for the ablation benches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// 1D ops charged per softmax point in the *baseline* (unfused/FLAT)
     /// models: one per Einsum iteration-space point (max, sub-exp, add,
-    /// div), the Timeloop convention (DESIGN.md §1.9 note 1).
+    /// div), the Timeloop convention of the paper's baseline models.
     pub baseline_softmax_ops_per_point: f64,
     /// MACCs per exponential on FuseMax arrays (§V cites a 6-MACC design).
     pub exp_maccs: f64,

@@ -825,7 +825,8 @@ mod tests {
     #[test]
     fn zero_output_hand_built_requests_complete_at_prefill() {
         // TrafficSpec clamps outputs to >= 1, but hand-built traces can
-        // carry 0; the engine must treat that like 1, not underflow.
+        // carry 0; the engine must treat that like 1, not underflow,
+        // whether the prompt prefills whole or in 16-token chunks.
         let trace = Trace {
             requests: vec![crate::traffic::Request {
                 id: 0,
@@ -834,9 +835,17 @@ mod tests {
                 output_tokens: 0,
             }],
         };
-        let report = bert_sim(ConfigKind::FuseMaxBinding).run(&trace);
-        assert_eq!(report.completed, 1);
-        assert_eq!(report.iterations, 1);
+        let chunked = SchedulerPolicy::chunked(16);
+        for (policy, iterations) in [
+            (SchedulerPolicy::unbounded(), 1),
+            (chunked, 4),
+            (chunked.with_queue_order(QueueOrder::ShortestPromptFirst), 4),
+        ] {
+            let report =
+                bert_builder(ConfigKind::FuseMaxBinding).policy(policy).build().run(&trace);
+            assert_eq!(report.completed, 1, "{policy:?}");
+            assert_eq!(report.iterations, iterations, "{policy:?}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub fn seq_label(l: usize) -> String {
 /// A transformer encoder configuration.
 ///
 /// Hyperparameters follow the public model cards (the paper inherits
-/// FLAT's workload set; see DESIGN.md §1.9 note 5): `d_model = heads ×
+/// FLAT's workload set, §VI-A): `d_model = heads ×
 /// head_dim`, and `head_dim` is the paper's `E = F` embedding per head
 /// ("for the networks we evaluate, E = 64 or 128", §V).
 #[derive(Debug, Clone, PartialEq, Eq)]

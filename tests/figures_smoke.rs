@@ -1,6 +1,6 @@
 //! Smoke tests: every figure/table generator produces well-formed output
-//! with the paper's qualitative shapes (the quantitative record lives in
-//! EXPERIMENTS.md).
+//! with the paper's qualitative shapes (`tests/golden_figures.rs` pins
+//! the exact renders).
 
 use fusemax::eval::fig8_9::{figure, Metric, Scope};
 use fusemax::eval::{fig12, fig1b, fig6, fig7, summary, table1};
@@ -101,7 +101,7 @@ fn headline_matches_paper_bands() {
 
 #[test]
 fn exp_cost_ablation_changes_fusemax_but_not_baselines() {
-    // Sensitivity knob from DESIGN.md §1.9: the baselines charge 1-op
+    // Sensitivity knob `ModelParams::exp_maccs`: the baselines charge 1-op
     // softmax Einsums regardless of exp_maccs; FuseMax pays for its MACC
     // chain.
     use fusemax::model::{attention_report, ConfigKind};

@@ -24,7 +24,7 @@ use fusemax::dse::{DesignSpace, FrontierGroup, PointKey, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::serve::{
     Arrivals, FaultSpec, FleetSpec, LengthMix, QueueOrder, RouterPolicy, ScenarioRanking,
-    SchedulerPolicy, ServeObjective, ServeSim, Sla, TrafficSpec,
+    SchedulerPolicy, ServeObjective, ServeSim, Sla, Trace, TrafficSpec,
 };
 use fusemax::telemetry::{serve_trace_json, Event, ServeEvent, VecSink};
 use fusemax::workloads::TransformerConfig;
@@ -404,12 +404,33 @@ fn codesign_ranking_computes_each_chip_length_once() {
     assert!(worst.model_calls() <= fault_free.model_calls());
 }
 
+/// How many times each request of an `n`-request trace was admitted.
+fn admissions(events: &[Event], n: usize) -> Vec<usize> {
+    let mut admitted = vec![0; n];
+    for event in events {
+        if let Event::Serve { kind: ServeEvent::Admit { req }, .. } = event {
+            admitted[*req as usize] += 1;
+        }
+    }
+    admitted
+}
+
+/// The most iterations a replay of `trace` may take with `chunk`-token
+/// prefill chunks (`usize::MAX` for whole prompts). Every iteration
+/// advances some resident request by one prefill chunk or one output
+/// token, and a request needs `⌈prompt / chunk⌉` chunks and
+/// `max(output, 1)` tokens.
+fn iteration_bound(trace: &Trace, chunk: usize) -> usize {
+    trace.requests.iter().map(|r| r.prompt_tokens.div_ceil(chunk) + r.output_tokens.max(1)).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Conservation: every request completes exactly once, residency
-    /// never exceeds the buffer-derived capacity (oversized singletons
-    /// excepted by construction), and the report's totals add up.
+    /// Conservation: every request is admitted and completes exactly
+    /// once, residency never exceeds the buffer-derived capacity
+    /// (oversized singletons excepted by construction), the iteration
+    /// count stays within the work bound, and the report's totals add up.
     #[test]
     fn serve_sim_conserves_requests(
         seed in 0u64..1_000_000_000,
@@ -438,10 +459,16 @@ proptest! {
             .with_kinds([kind])
             .with_workloads([TransformerConfig::bert()]);
         let point = space.points().remove(0);
-        let sim = ServeSim::for_point(&point, &ModelParams::default());
+        let (recorder, sink) = VecSink::recorder();
+        let sim = ServeSim::builder_for_point(&point, &ModelParams::default())
+            .recorder(recorder)
+            .build();
         let report = sim.run(&trace);
 
-        // Every request completes exactly once.
+        // Every request is admitted and completes exactly once, in
+        // bounded work.
+        prop_assert_eq!(admissions(&sink.events(), requests), vec![1; requests]);
+        prop_assert!(report.iterations <= iteration_bound(&trace, usize::MAX));
         prop_assert_eq!(report.completed, requests);
         prop_assert_eq!(report.ttft.samples, requests);
         prop_assert_eq!(report.e2e.samples, requests);
@@ -475,12 +502,13 @@ proptest! {
     }
 
     /// Chunked-trace conservation (ISSUE 7): under arbitrary scheduler
-    /// policies every request still completes exactly once, each
-    /// request's prefill chunks sum to exactly its prompt, no iteration
-    /// grants more prefill tokens than the chunk budget, residency stays
-    /// within the buffer-derived bound, and every admission takes the
-    /// queue order's first waiting request — the smallest
-    /// `(prompt_tokens, id)` under SPF, the earliest arrival under FCFS.
+    /// policies every request is still admitted and completes exactly
+    /// once within the iteration work bound, each request's prefill
+    /// chunks sum to exactly its prompt, no iteration grants more prefill
+    /// tokens than the chunk budget, residency stays within the
+    /// buffer-derived bound, and every admission takes the queue order's
+    /// first waiting request — the smallest `(prompt_tokens, id)` under
+    /// SPF, the earliest arrival under FCFS.
     #[test]
     fn chunked_serve_sim_conserves_requests_and_respects_the_budget(
         seed in 0u64..1_000_000_000,
@@ -515,7 +543,10 @@ proptest! {
             .build();
         let report = sim.run(&trace);
 
-        // Every request completes exactly once, all tokens accounted for.
+        // Every request is admitted and completes exactly once, in
+        // bounded work, all tokens accounted for.
+        prop_assert_eq!(admissions(&sink.events(), requests), vec![1; requests]);
+        prop_assert!(report.iterations <= iteration_bound(&trace, chunk));
         prop_assert_eq!(report.completed, requests);
         prop_assert_eq!(report.ttft.samples, requests);
         prop_assert_eq!(report.output_tokens, trace.total_output_tokens());

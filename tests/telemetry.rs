@@ -3,19 +3,23 @@
 //! event streams across replays and across the parallel/serial switch),
 //! and *exportable* (the seeded serve traces — whole-prompt/FCFS and
 //! chunked/SPF — round-trip the checked-in golden Chrome-trace JSON byte
-//! for byte).
+//! for byte). The seeded search, serve and faulted-fleet counts match
+//! `tests/golden/bench_baseline.json` exactly.
 //!
 //! To bless an intentional engine change, regenerate the goldens with
 //! `FUSEMAX_UPDATE_GOLDEN=1 cargo test --test telemetry` and commit the
 //! diff.
 
-use fusemax::dse::search::{SearchBudget, SearchStrategy, SimulatedAnnealing};
+use fusemax::dse::search::{
+    GeneticSearch, SearchBudget, SearchStats, SearchStrategy, SimulatedAnnealing,
+};
 use fusemax::dse::{DesignSpace, FrontierGroup, Sweeper};
 use fusemax::dse::{QueueOrder, SchedulerPolicy};
 use fusemax::model::{ConfigKind, ModelParams};
-use fusemax::serve::{Arrivals, LengthMix, ServeSim, TrafficSpec};
+use fusemax::serve::{Arrivals, FaultSpec, Fleet, FleetSpec, LengthMix, ServeSim, TrafficSpec};
 use fusemax::telemetry::{
-    event_json, serve_trace_json, validate_chrome_trace, Event, Metrics, ServeEvent, VecSink,
+    event_json, serve_trace_json, validate_chrome_trace, Event, Metrics, SearchBudgetAttribution,
+    ServeEvent, VecSink,
 };
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
@@ -72,7 +76,7 @@ fn check_golden(rel: &str, current: &str) {
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert_eq!(
         current, golden,
-        "serve trace drifted from {rel}.\n\
+        "telemetry drifted from {rel}.\n\
          If the engine change is intentional, regenerate with\n\
          FUSEMAX_UPDATE_GOLDEN=1 cargo test --test telemetry"
     );
@@ -144,6 +148,95 @@ fn serve_metrics_agree_with_the_event_stream() {
     assert_eq!(metrics.counter("serve.completions"), 12);
     assert!(metrics.counter("serve.iterations") >= 12 / 2);
     assert!(metrics.gauge("serve.batch_mean").expect("derived gauge present") >= 1.0);
+}
+
+/// The seeded telemetry counts of three instrumented runs, gated byte for
+/// byte against `tests/golden/bench_baseline.json` at its printed
+/// precision:
+///
+/// * `GeneticSearch` seeds 7 then 9 at budget 90 on one sweeper over the
+///   180-point Fig 12 space, so the second run's cache hits measure reuse;
+/// * a 120-request BERT replay on the 256×256 design;
+/// * an 80-request 4-replica fleet with two mid-trace fail-stops (one
+///   recovers) under a 0.6 shed watermark, so retries and sheds count.
+///
+/// The search runs' `SearchStats` must also agree with the event-derived
+/// budget attribution the golden records.
+#[test]
+fn seeded_telemetry_counts_match_the_bench_baseline_golden() {
+    let space = DesignSpace::new()
+        .with_kinds(ConfigKind::all())
+        .with_workloads([TransformerConfig::bert()])
+        .with_frequencies_hz([None, Some(470e6)])
+        .with_buffer_scales([0.5, 1.0, 2.0]);
+    let (recorder, search_sink) = VecSink::recorder();
+    let sweeper = Sweeper::new(ModelParams::default()).with_recorder(recorder);
+    let budget = SearchBudget::evaluations(90);
+    let runs = [7, 9].map(|seed| GeneticSearch::new(seed).search(&sweeper, &space, budget).stats);
+
+    let traffic = |rate_per_s, requests, seed| {
+        TrafficSpec {
+            arrivals: Arrivals::Poisson { rate_per_s },
+            prompt_mix: LengthMix::new([(512, 3.0), (4096, 1.0)]),
+            output_mix: LengthMix::uniform([8, 32]),
+            requests,
+        }
+        .generate(seed)
+    };
+    let params = ModelParams::default();
+    let point = DesignSpace::new().with_workloads([TransformerConfig::bert()]).points().remove(4);
+    let (recorder, serve_sink) = VecSink::recorder();
+    ServeSim::builder_for_point(&point, &params)
+        .recorder(recorder)
+        .build()
+        .run(&traffic(150.0, 120, 7));
+
+    let fleet_trace = traffic(2000.0, 80, 11);
+    let horizon_s = fleet_trace.last_arrival_s();
+    let faults = FaultSpec::none()
+        .down(0.25 * horizon_s, 1)
+        .down(0.45 * horizon_s, 2)
+        .up(0.7 * horizon_s, 2)
+        .with_shed_watermark(0.6);
+    let (recorder, fleet_sink) = VecSink::recorder();
+    Fleet::new(FleetSpec::replicated(4), ServeSim::for_point(&point, &params))
+        .with_recorder(recorder)
+        .with_faults(faults)
+        .run_detailed(&fleet_trace);
+
+    let mut events = search_sink.events();
+    events.extend(serve_sink.events());
+    events.extend(fleet_sink.events());
+    let metrics = Metrics::from_events(&events);
+    let a = SearchBudgetAttribution::from_events(&events);
+    let total = |count: fn(&SearchStats) -> usize| runs.iter().map(count).sum::<usize>() as u64;
+    assert_eq!(total(|s| s.requested), a.staged);
+    assert_eq!(total(|s| s.evaluated), a.full_evals);
+    assert_eq!(total(|s| s.cache_hits), a.cache_hits);
+    assert_eq!(total(|s| s.batches), a.flushes);
+    assert_eq!(total(|s| s.screened), a.screened_out);
+
+    let counts = format!(
+        concat!(
+            "{{\"search_cache_hit_ratio\":{:.4},\"search_flush_batch_mean\":{:.3},",
+            "\"serve_batch_mean\":{:.3},\"serve_retries\":{},\"serve_sheds\":{},",
+            "\"events\":{},\"staged\":{},\"screened_out\":{},\"cache_hits\":{},",
+            "\"full_evals\":{},\"flushes\":{},\"chains\":{}}}\n"
+        ),
+        metrics.gauge("search.cache.hit_ratio").expect("derived gauge present"),
+        metrics.histogram("search.flush_batch").expect("flushes recorded").mean(),
+        metrics.gauge("serve.batch_mean").expect("derived gauge present"),
+        metrics.counter("serve.retries"),
+        metrics.counter("serve.sheds"),
+        events.len(),
+        a.staged,
+        a.screened_out,
+        a.cache_hits,
+        a.full_evals,
+        a.flushes,
+        a.chains,
+    );
+    check_golden("tests/golden/bench_baseline.json", &counts);
 }
 
 /// Collapses frontiers to comparable bits: instrumentation must not move
