@@ -5,10 +5,10 @@
 use crate::space::{DesignPoint, FleetSpec, QueueOrder};
 use crate::sweep::Evaluation;
 use fusemax_arch::ExpCost;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The full identity of a design point, hashed field-by-field (floating
 /// knobs via their bit patterns) so two points collide exactly when every
@@ -17,7 +17,10 @@ use std::sync::{Arc, Mutex};
 /// [`fusemax_model::ModelParams`] is deliberately *not* part of the key:
 /// a [`crate::Sweeper`] owns one immutable `ModelParams` alongside its
 /// cache, so entries can never mix parameterizations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key owns no heap data (the workload name is the `&'static str`
+/// of [`fusemax_workloads::TransformerConfig::name`]), so it is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointKey {
     array_rows: usize,
     array_cols: usize,
@@ -29,7 +32,7 @@ pub struct PointKey {
     pe_2d: fusemax_arch::PeKind,
     exp_cost: (u8, u32),
     kind: fusemax_model::ConfigKind,
-    model_name: String,
+    model_name: &'static str,
     layers: usize,
     heads: usize,
     head_dim: usize,
@@ -61,7 +64,7 @@ impl PointKey {
                 ExpCost::ChainedMaccs(n) => (1, n),
             },
             kind: point.kind,
-            model_name: w.name.to_string(),
+            model_name: w.name,
             layers: w.layers,
             heads: w.heads,
             head_dim: w.head_dim,
@@ -76,92 +79,35 @@ impl PointKey {
     }
 }
 
-/// How many ways [`EvalCache`] stripes its map by default: enough that a
-/// full complement of sweep workers rarely collides on one lock, small
-/// enough that `len` stays cheap.
-const DEFAULT_SHARDS: usize = 16;
-
-/// One lock-striped shard of the cache map.
-type Shard = Mutex<HashMap<PointKey, Arc<Evaluation>>>;
-
 /// A thread-safe map from [`PointKey`] to finished [`Evaluation`]s, with
 /// hit/miss counters.
 ///
 /// Entries are [`Arc`]-shared: a second sweep over the same space returns
 /// clones of the *same* allocation, so reports are bit-identical by
 /// construction.
-///
-/// Internally the map is **lock-striped**: keys hash to one of N shards,
-/// each behind its own mutex, so concurrent sweeps and guided searches
-/// stop contending on a single lock. Sharding is invisible to observers —
-/// hit/miss counters, `len`, and the stored entries are identical for
-/// every shard count (property-tested against the 1-shard cache).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EvalCache {
-    shards: Box<[Shard]>,
+    map: Mutex<HashMap<PointKey, Arc<Evaluation>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    // Per-shard splits of the aggregate counters above (same Relaxed
-    // discipline); `shard_hits[i] + …` always sums to `hits()`.
-    shard_hits: Box<[AtomicU64]>,
-    shard_misses: Box<[AtomicU64]>,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
 }
 
 impl EvalCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache striped `shards` ways (clamped to ≥ 1). Observable
-    /// behavior is shard-count-independent; only lock contention changes.
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        EvalCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            shard_hits: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_misses: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-        }
+    /// The locked map.
+    fn map(&self) -> MutexGuard<'_, HashMap<PointKey, Arc<Evaluation>>> {
+        self.map.lock().expect("cache poisoned")
     }
 
-    /// The index of the shard holding `key` — a pure function of the key
-    /// and the shard count (`DefaultHasher::new()` hashes with fixed
-    /// keys), so telemetry can attribute traffic to shards
-    /// deterministically across runs.
-    pub fn shard_of(&self, key: &PointKey) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
-    /// The shard holding `key`.
-    fn shard(&self, key: &PointKey) -> &Shard {
-        &self.shards[self.shard_of(key)]
-    }
-
-    /// Looks up `key`, bumping the aggregate and per-shard hit or miss
-    /// counters.
+    /// Looks up `key`, bumping the hit or miss counter.
     pub fn get(&self, key: &PointKey) -> Option<Arc<Evaluation>> {
-        let shard = self.shard_of(key);
-        let found = self.shards[shard].lock().expect("cache poisoned").get(key).cloned();
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.shard_hits[shard].fetch_add(1, Ordering::Relaxed)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.shard_misses[shard].fetch_add(1, Ordering::Relaxed)
-            }
-        };
+        let found = self.map().get(key).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
@@ -169,13 +115,12 @@ impl EvalCache {
     /// same key, the first insertion wins and its entry is returned, so
     /// every caller observes one canonical `Arc` per key.
     pub fn insert(&self, key: PointKey, evaluation: Arc<Evaluation>) -> Arc<Evaluation> {
-        let mut map = self.shard(&key).lock().expect("cache poisoned");
-        Arc::clone(map.entry(key).or_insert(evaluation))
+        Arc::clone(self.map().entry(key).or_insert(evaluation))
     }
 
-    /// Single-lookup fetch-or-compute: one shard lock classifies the hit
+    /// Single-lookup fetch-or-compute: one lock round classifies the hit
     /// (bumping the hit/miss counters exactly as [`EvalCache::get`]);
-    /// only on a miss does `compute` run — **outside** any lock — before
+    /// only on a miss does `compute` run — **outside** the lock — before
     /// a second lock round inserts the result. Returns the canonical
     /// `Arc` and whether *this call's* `compute` produced it (`false` on
     /// a hit or a lost insertion race), so callers classify shared-cache
@@ -190,13 +135,9 @@ impl EvalCache {
             return (hit, false);
         }
         let computed = Arc::new(compute());
-        let mut map = self.shard(&key).lock().expect("cache poisoned");
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => (Arc::clone(slot.get()), false),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Arc::clone(&computed));
-                (computed, true)
-            }
+        match self.map().entry(key) {
+            Entry::Occupied(slot) => (Arc::clone(slot.get()), false),
+            Entry::Vacant(slot) => (Arc::clone(slot.insert(computed)), true),
         }
     }
 
@@ -204,7 +145,7 @@ impl EvalCache {
     /// counters — the peek the search session's screening path uses to
     /// skip bound checks for points the model will not run anyway.
     pub fn contains(&self, key: &PointKey) -> bool {
-        self.shard(key).lock().expect("cache poisoned").contains_key(key)
+        self.map().contains_key(key)
     }
 
     /// Cache hits since construction.
@@ -217,65 +158,26 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard `(hits, misses)` splits of the aggregate counters, in
-    /// shard order — the raw material for the shard-skew telemetry that
-    /// makes lock-striping pathologies (hot shards) visible.
-    pub fn shard_counters(&self) -> Vec<(u64, u64)> {
-        self.shard_hits
-            .iter()
-            .zip(self.shard_misses.iter())
-            .map(|(h, m)| (h.load(Ordering::Relaxed), m.load(Ordering::Relaxed)))
-            .collect()
-    }
-
     /// Number of cached evaluations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache poisoned").len()).sum()
+        self.map().len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every entry and zeroes the counters.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().expect("cache poisoned").clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        for counter in self.shard_hits.iter().chain(self.shard_misses.iter()) {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Fold a cache's counters into a telemetry
-/// [`Metrics`](fusemax_telemetry::Metrics) registry:
-/// aggregate and per-shard hit/miss counters, the hit ratio, and the
-/// shard-skew gauge (max shard traffic over mean shard traffic; 1.0 is
-/// perfectly balanced striping, large values mean a hot shard).
+/// [`Metrics`](fusemax_telemetry::Metrics) registry: the hit and miss
+/// counters, the hit ratio and the entry count.
 pub fn record_cache_metrics(cache: &EvalCache, metrics: &mut fusemax_telemetry::Metrics) {
-    let per_shard = cache.shard_counters();
     let (hits, misses) = (cache.hits(), cache.misses());
     metrics.inc("search.cache.hit", hits);
     metrics.inc("search.cache.miss", misses);
-    for (shard, (h, m)) in per_shard.iter().enumerate() {
-        metrics.inc(&format!("search.cache.shard.{shard:03}.hit"), *h);
-        metrics.inc(&format!("search.cache.shard.{shard:03}.miss"), *m);
-    }
     if hits + misses > 0 {
         metrics.set_gauge("search.cache.hit_ratio", hits as f64 / (hits + misses) as f64);
-        let traffic: Vec<u64> = per_shard.iter().map(|(h, m)| h + m).collect();
-        let mean = (hits + misses) as f64 / traffic.len() as f64;
-        let max = traffic.iter().copied().max().unwrap_or(0) as f64;
-        metrics.set_gauge("search.cache.shard_skew", max / mean);
     }
     metrics.set_gauge("search.cache.entries", cache.len() as f64);
 }
@@ -286,22 +188,6 @@ mod tests {
     use crate::space::{arch_for, DesignPoint};
     use fusemax_model::ConfigKind;
     use fusemax_workloads::TransformerConfig;
-
-    /// Every entry as `Debug` text, sorted: two caches hold the same
-    /// entries exactly when these lists are equal, whatever their shard
-    /// counts.
-    fn sorted_entries(cache: &EvalCache) -> Vec<String> {
-        let mut entries: Vec<String> = cache
-            .shards
-            .iter()
-            .flat_map(|s| {
-                let map = s.lock().expect("cache poisoned");
-                map.iter().map(|(k, e)| format!("{k:?} {e:?}")).collect::<Vec<_>>()
-            })
-            .collect();
-        entries.sort();
-        entries
-    }
 
     fn point(kind: ConfigKind, n: usize, seq_len: usize) -> DesignPoint {
         DesignPoint {
@@ -379,27 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_split_the_aggregates() {
-        let cache = EvalCache::with_shards(4);
-        let keys: Vec<PointKey> =
-            (1..6).map(|i| PointKey::of(&point(ConfigKind::Flat, 32 * i, 1 << 12))).collect();
-        for key in &keys {
-            cache.get(key); // miss
-        }
-        let (hits, misses): (u64, u64) =
-            cache.shard_counters().iter().fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm));
-        assert_eq!((hits, misses), (cache.hits(), cache.misses()));
-        assert_eq!(misses, keys.len() as u64);
-        // Every key's traffic landed on its deterministic shard.
-        for key in &keys {
-            assert!(cache.shard_of(key) < cache.shard_count());
-            assert_eq!(cache.shard_of(key), cache.shard_of(key));
-        }
-    }
-
-    #[test]
-    fn record_cache_metrics_surfaces_ratio_and_skew() {
-        let cache = EvalCache::with_shards(4);
+    fn record_cache_metrics_surfaces_counts_and_ratio() {
+        let cache = EvalCache::new();
         let key = PointKey::of(&point(ConfigKind::Flat, 64, 1 << 12));
         cache.get(&key); // miss
         let e = {
@@ -407,17 +274,14 @@ mod tests {
             use fusemax_model::ModelParams;
             Sweeper::new(ModelParams::default()).evaluate(&point(ConfigKind::Flat, 64, 1 << 12))
         };
-        cache.insert(key.clone(), e);
+        cache.insert(key, e);
         cache.get(&key); // hit
         let mut metrics = fusemax_telemetry::Metrics::new();
         record_cache_metrics(&cache, &mut metrics);
         assert_eq!(metrics.counter("search.cache.hit"), 1);
         assert_eq!(metrics.counter("search.cache.miss"), 1);
         assert_eq!(metrics.gauge("search.cache.hit_ratio"), Some(0.5));
-        // Both touches hit one shard of four: skew = max/mean = 2/(2/4).
-        assert_eq!(metrics.gauge("search.cache.shard_skew"), Some(4.0));
-        let shard = cache.shard_of(&key);
-        assert_eq!(metrics.counter(&format!("search.cache.shard.{shard:03}.hit")), 1);
+        assert_eq!(metrics.gauge("search.cache.entries"), Some(1.0));
     }
 
     #[test]
@@ -437,34 +301,6 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "one canonical Arc per key");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn shard_counts_do_not_change_observable_state() {
-        use crate::sweep::Sweeper;
-        use fusemax_model::ModelParams;
-        let sweeper = Sweeper::new(ModelParams::default());
-        let points: Vec<DesignPoint> = [(ConfigKind::Flat, 64), (ConfigKind::FuseMaxBinding, 128)]
-            .iter()
-            .map(|&(k, n)| point(k, n, 1 << 12))
-            .collect();
-        let evaluations: Vec<Arc<Evaluation>> =
-            points.iter().map(|p| sweeper.evaluate(p)).collect();
-
-        let caches = [EvalCache::with_shards(1), EvalCache::with_shards(4), EvalCache::new()];
-        for cache in &caches {
-            for (p, e) in points.iter().zip(&evaluations) {
-                assert!(cache.get(&PointKey::of(p)).is_none());
-                cache.insert(PointKey::of(p), Arc::clone(e));
-                assert!(cache.get(&PointKey::of(p)).is_some());
-            }
-        }
-        for cache in &caches[1..] {
-            assert_eq!(cache.len(), caches[0].len());
-            assert_eq!(cache.hits(), caches[0].hits());
-            assert_eq!(cache.misses(), caches[0].misses());
-            assert_eq!(sorted_entries(cache), sorted_entries(&caches[0]));
-        }
     }
 
     #[test]
@@ -595,59 +431,6 @@ mod tests {
                     && freq_a == freq_b
                     && bw_a == bw_b;
                 prop_assert_eq!(PointKey::of(&a) == PointKey::of(&b), same);
-            }
-
-            /// Sharding is observationally invisible: the same operation
-            /// sequence applied to 1-, 4-, and 16-shard caches yields the
-            /// same hits, misses, length, and entries.
-            #[test]
-            fn sharded_cache_is_observationally_identical_to_one_shard(
-                dims in proptest::collection::vec(1usize..400, 1..6),
-                kind_idx in 0usize..5,
-                op_pattern in proptest::collection::vec(0u8..3, 4..16),
-            ) {
-                use crate::sweep::Sweeper;
-                use fusemax_model::ModelParams;
-                let sweeper = Sweeper::new(ModelParams::default());
-                let kind = ConfigKind::all()[kind_idx];
-                let points: Vec<DesignPoint> = dims
-                    .iter()
-                    .map(|&d| DesignPoint {
-                        arch: arch_for(kind, d),
-                        kind,
-                        workload: TransformerConfig::bert(),
-                        seq_len: 1 << 10,
-                        array_dim: d,
-                        policy: Default::default(),
-            fleet: Default::default(),
-                    })
-                    .collect();
-                let evaluations: Vec<Arc<Evaluation>> =
-                    points.iter().map(|p| sweeper.evaluate(p)).collect();
-
-                let caches =
-                    [EvalCache::with_shards(1), EvalCache::with_shards(4), EvalCache::with_shards(16)];
-                for cache in &caches {
-                    for (i, op) in op_pattern.iter().enumerate() {
-                        let j = i % points.len();
-                        let key = PointKey::of(&points[j]);
-                        match op {
-                            0 => { cache.get(&key); }
-                            1 => { cache.insert(key, Arc::clone(&evaluations[j])); }
-                            _ => {
-                                cache.get_or_insert_with(key, || (*evaluations[j]).clone());
-                            }
-                        }
-                    }
-                }
-                let reference = &caches[0];
-                let reference_entries = sorted_entries(reference);
-                for cache in &caches[1..] {
-                    prop_assert_eq!(cache.len(), reference.len());
-                    prop_assert_eq!(cache.hits(), reference.hits());
-                    prop_assert_eq!(cache.misses(), reference.misses());
-                    prop_assert_eq!(&sorted_entries(cache), &reference_entries);
-                }
             }
 
             /// On-grid keys are stable under addressing: the key of a

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Design-space exploration over the FuseMax analytical model: enumerate a
-//! space of candidate accelerators, evaluate them in parallel through
+//! space of candidate accelerators, evaluate them through
 //! [`fusemax_model`], keep multi-objective Pareto frontiers, prune
 //! provably-dominated candidates before paying for them, and cache every
 //! evaluation so repeated sweeps (figure regeneration, interactive
@@ -53,12 +53,12 @@
 //!
 //! # Engine
 //!
-//! [`Sweeper::sweep`] evaluates every point — rayon-parallel across cores,
-//! results identical to the serial path — and is the ground truth used by
-//! `fusemax_eval::fig12`. [`Sweeper::sweep_pruned`] additionally tests each
-//! candidate's closed-form optimistic bound ([`Sweeper::lower_bound`])
-//! against the running frontier and skips candidates that provably cannot
-//! be Pareto-optimal, so dominated subspaces are never evaluated at all.
+//! [`Sweeper::sweep`] evaluates every point, serially and in space order,
+//! and is the ground truth used by `fusemax_eval::fig12`.
+//! [`Sweeper::sweep_pruned`] additionally tests each candidate's
+//! closed-form optimistic bound ([`Sweeper::lower_bound`]) against the
+//! running frontier and skips candidates that provably cannot be
+//! Pareto-optimal, so dominated subspaces are never evaluated at all.
 //! Both paths share the keyed [`EvalCache`]; a second sweep over any
 //! overlapping space returns the *same* [`std::sync::Arc`] allocations,
 //! bit-identical by construction.

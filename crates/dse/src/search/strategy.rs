@@ -508,21 +508,14 @@ impl<'a> Session<'a> {
         // frontier-insert events below are deterministic — never emit
         // them from inside the concurrent cache.
         for (evaluation, fresh) in results {
-            let key = PointKey::of(&evaluation.point);
             if fresh {
                 self.stats.evaluated += 1;
-                if self.tracing {
-                    let shard = self.sweeper.cache().shard_of(&key);
-                    self.trace(SearchEvent::CacheMiss { shard });
-                }
+                self.trace(SearchEvent::CacheMiss);
             } else {
                 self.stats.cache_hits += 1;
-                if self.tracing {
-                    let shard = self.sweeper.cache().shard_of(&key);
-                    self.trace(SearchEvent::CacheHit { shard });
-                }
+                self.trace(SearchEvent::CacheHit);
             }
-            self.seen.insert(key, Arc::clone(&evaluation));
+            self.seen.insert(PointKey::of(&evaluation.point), Arc::clone(&evaluation));
             let group = group_index(&mut self.frontiers, &evaluation.point);
             let admitted = self.frontiers[group].frontier.insert(Arc::clone(&evaluation));
             if self.tracing {

@@ -1,6 +1,7 @@
 //! The sweep engine: evaluates design points through the analytical model
-//! (serially or rayon-parallel), maintains per-workload Pareto frontiers,
-//! and prunes provably-dominated points before paying for their evaluation.
+//! (sweeps serially; batched search evaluations optionally rayon-parallel),
+//! maintains per-workload Pareto frontiers, and prunes provably-dominated
+//! points before paying for their evaluation.
 
 use crate::cache::{EvalCache, PointKey};
 use crate::objective::Objective;
@@ -193,7 +194,8 @@ impl std::fmt::Debug for Sweeper {
 }
 
 impl Sweeper {
-    /// A parallel sweeper with default cost models and an empty cache.
+    /// A sweeper with default cost models, an empty cache and parallel
+    /// batch evaluation.
     pub fn new(params: ModelParams) -> Self {
         Sweeper {
             params,
@@ -222,19 +224,21 @@ impl Sweeper {
         &self.recorder
     }
 
-    /// Switches between rayon-parallel (`true`, the default) and serial
-    /// evaluation. Results are identical either way; only wall-clock time
-    /// changes.
+    /// Switches [`Sweeper::evaluate_many`] — the batch evaluation that
+    /// guided searches flush through — and the annealing chains between
+    /// rayon-parallel (`true`, the default) and serial. Results are
+    /// identical either way; only wall-clock time changes. Sweeps are
+    /// serial whatever this says.
     pub fn with_parallelism(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
     }
 
-    /// Whether this sweeper evaluates cache misses on all cores (`true`,
-    /// the default) or serially. The batched search session and the
-    /// parallel annealing chains consult this, so a single switch flips
-    /// the whole stack between the parallel path and its bit-identical
-    /// serial reference.
+    /// Whether [`Sweeper::evaluate_many`] evaluates cache misses on all
+    /// cores (`true`, the default) or serially. The batched search
+    /// session and the parallel annealing chains consult this, so a
+    /// single switch flips every guided search between the parallel path
+    /// and its bit-identical serial reference.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
@@ -413,60 +417,49 @@ impl Sweeper {
         [self.area_model.chip_area_cm2(arch) * point.fleet.chips() as f64, latency_lb, energy_lb]
     }
 
-    /// Sweeps the whole space, evaluating **every** candidate (no pruning,
-    /// so the result doubles as ground truth for figures like Fig 12 that
-    /// plot dominated points too). Uncached points are evaluated on all
-    /// cores when parallelism is on; results are assembled in space order
-    /// and are independent of the thread count.
+    /// Sweeps the whole space serially, evaluating **every** candidate
+    /// (no pruning, so the result doubles as ground truth for figures like
+    /// Fig 12 that plot dominated points too). Results come back in space
+    /// order.
+    ///
+    /// Two passes: the first looks every point up in the cache, the second
+    /// evaluates the misses. A key that repeats within the space (two
+    /// points with the same model-visible identity) therefore misses at
+    /// each occurrence and counts as evaluated each time; both slots end
+    /// up sharing the first insertion's `Arc`.
     pub fn sweep(&self, space: &DesignSpace) -> SweepOutcome {
         let start = Instant::now();
         let points = space.points();
         let candidates = points.len();
 
         // Serve cache hits first so only misses pay for evaluation. This
-        // classification loop is serial and in space order, so the cache
-        // events it emits are deterministic regardless of how the misses
-        // are evaluated below.
-        let mut slots: Vec<Option<Arc<Evaluation>>> = Vec::with_capacity(points.len());
-        let mut missing: Vec<(usize, DesignPoint)> = Vec::new();
-        for (i, point) in points.into_iter().enumerate() {
-            let key = PointKey::of(&point);
+        // classification loop runs in space order, so the cache events it
+        // emits are deterministic.
+        let mut slots: Vec<Option<Arc<Evaluation>>> = Vec::with_capacity(candidates);
+        let mut evaluated = 0;
+        for (i, point) in points.iter().enumerate() {
             let tick = i as u64 + 1;
-            match self.cache.get(&key) {
+            match self.cache.get(&PointKey::of(point)) {
                 Some(hit) => {
-                    self.recorder.emit(|| {
-                        Event::search(
-                            tick,
-                            SearchEvent::CacheHit { shard: self.cache.shard_of(&key) },
-                        )
-                    });
+                    self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                     slots.push(Some(hit));
                 }
                 None => {
-                    self.recorder.emit(|| {
-                        Event::search(
-                            tick,
-                            SearchEvent::CacheMiss { shard: self.cache.shard_of(&key) },
-                        )
-                    });
+                    self.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
                     slots.push(None);
-                    missing.push((i, point));
+                    evaluated += 1;
                 }
             }
         }
-        let cache_hits = candidates - missing.len();
-        let evaluated = missing.len();
+        let cache_hits = candidates - evaluated;
         self.recorder
             .emit(|| Event::search(candidates as u64, SearchEvent::FlushBatch { size: evaluated }));
 
-        let computed: Vec<(usize, Evaluation)> = if self.parallel {
-            missing.into_par_iter().map(|(i, p)| (i, self.compute(&p))).collect()
-        } else {
-            missing.into_iter().map(|(i, p)| (i, self.compute(&p))).collect()
-        };
-        for (i, evaluation) in computed {
-            let key = PointKey::of(&evaluation.point);
-            slots[i] = Some(self.cache.insert(key, Arc::new(evaluation)));
+        for (slot, point) in slots.iter_mut().zip(&points) {
+            if slot.is_none() {
+                let evaluation = Arc::new(self.compute(point));
+                *slot = Some(self.cache.insert(PointKey::of(point), evaluation));
+            }
         }
 
         let evaluations: Vec<Arc<Evaluation>> =
@@ -494,8 +487,8 @@ impl Sweeper {
     /// survived the cutoff (pruning is what you want for *search*; use the
     /// full sweep when a figure needs dominated points plotted too).
     ///
-    /// Pruning is sequential by nature (each decision depends on the
-    /// frontier so far), so this path ignores the parallelism switch.
+    /// Pruning is sequential by nature: each decision depends on the
+    /// frontier so far.
     pub fn sweep_pruned(&self, space: &DesignSpace) -> SweepOutcome {
         let start = Instant::now();
         let mut points = space.points();
@@ -518,9 +511,7 @@ impl Sweeper {
             self.recorder.emit(|| Event::search(tick, SearchEvent::Staged));
             let evaluation = if let Some(hit) = self.cache.get(&key) {
                 cache_hits += 1;
-                self.recorder.emit(|| {
-                    Event::search(tick, SearchEvent::CacheHit { shard: self.cache.shard_of(&key) })
-                });
+                self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                 hit
             } else {
                 if !frontiers[group].frontier.admits(&self.lower_bound(&point)) {
@@ -529,9 +520,7 @@ impl Sweeper {
                     continue;
                 }
                 evaluated += 1;
-                self.recorder.emit(|| {
-                    Event::search(tick, SearchEvent::CacheMiss { shard: self.cache.shard_of(&key) })
-                });
+                self.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
                 self.cache.insert(key, Arc::new(self.compute(&point)))
             };
             let admitted = frontiers[group].frontier.insert(Arc::clone(&evaluation));
@@ -650,17 +639,39 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_sweeps_agree_exactly() {
-        let space = small_space();
-        let serial = Sweeper::new(ModelParams::default()).with_parallelism(false).sweep(&space);
-        let parallel = Sweeper::new(ModelParams::default()).with_parallelism(true).sweep(&space);
-        assert_eq!(serial.evaluations.len(), parallel.evaluations.len());
-        for (a, b) in serial.evaluations.iter().zip(&parallel.evaluations) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(a.objectives(), b.objectives());
-            assert_eq!(a.report.cycles, b.report.cycles);
-            assert_eq!(a.report.dram_bytes, b.report.dram_bytes);
+    fn a_key_repeated_within_one_sweep_misses_at_each_occurrence() {
+        // Slots 0/1 (FLAT) and 3/4 (+Binding) are dim-64 twins with one key
+        // each. The sweep looks every point up before it evaluates any, so
+        // a cold sweep misses on both twins, evaluates both, and keeps the
+        // first insertion for both slots.
+        use fusemax_telemetry::VecSink;
+        let space = small_space().with_array_dims([64, 64, 128]);
+        let (recorder, sink) = VecSink::recorder();
+        let sweeper = Sweeper::new(ModelParams::default()).with_recorder(recorder);
+        let cold = sweeper.sweep(&space);
+        assert_eq!(cold.stats.candidates, 6);
+        assert_eq!(cold.stats.evaluated, 6);
+        assert_eq!(cold.stats.cache_hits, 0);
+
+        let events = sink.events();
+        let mut expected: Vec<Event> =
+            (1..=6).map(|tick| Event::search(tick, SearchEvent::CacheMiss)).collect();
+        expected.push(Event::search(6, SearchEvent::FlushBatch { size: 6 }));
+        assert_eq!(events[..7], expected[..]);
+        assert!(events[7..]
+            .iter()
+            .all(|e| matches!(e, Event::Search { kind: SearchEvent::FrontierInsert { .. }, .. })));
+
+        assert_eq!(sweeper.cache().len(), 4);
+        for twin in [0, 3] {
+            let (a, b) = (&cold.evaluations[twin], &cold.evaluations[twin + 1]);
+            assert_eq!(a.point.array_dim, 64);
+            assert!(Arc::ptr_eq(a, b), "dim-64 twins at slots {twin} and {}", twin + 1);
         }
+
+        let warm = sweeper.sweep(&space);
+        assert_eq!(warm.stats.cache_hits, 6);
+        assert_eq!(warm.stats.evaluated, 0);
     }
 
     #[test]

@@ -496,7 +496,7 @@ impl Clone for ModelMemo {
         let chips = self.chips.lock().expect("model memo poisoned");
         ModelMemo {
             chips: Mutex::new(
-                chips.iter().map(|(k, c)| (k.clone(), Arc::new(ChipResults::clone(c)))).collect(),
+                chips.iter().map(|(k, c)| (*k, Arc::new(ChipResults::clone(c)))).collect(),
             ),
         }
     }

@@ -52,15 +52,9 @@ pub enum SearchEvent {
     /// the model ran.
     ScreenedOut,
     /// A staged point resolved from the shared evaluation cache.
-    CacheHit {
-        /// Which lock-striped cache shard held the entry.
-        shard: usize,
-    },
+    CacheHit,
     /// A staged point missed the shared cache and ran the model.
-    CacheMiss {
-        /// Which lock-striped cache shard absorbed the fresh entry.
-        shard: usize,
-    },
+    CacheMiss,
     /// A staged batch was flushed to the (possibly parallel) workers.
     FlushBatch {
         /// Number of design points evaluated in the batch.
@@ -253,7 +247,7 @@ pub fn quoted(s: &str) -> String {
     out
 }
 
-/// One event as a single JSON object (the JSON-lines sink's line format).
+/// One event as a single JSON object, for line-per-event dumps and diffs.
 /// Field order is fixed, floats use shortest-round-trip formatting: two
 /// identical events always serialize to identical bytes.
 pub fn event_json(event: &Event) -> String {
@@ -262,12 +256,8 @@ pub fn event_json(event: &Event) -> String {
             let body = match kind {
                 SearchEvent::Staged => "\"kind\":\"staged\"".to_string(),
                 SearchEvent::ScreenedOut => "\"kind\":\"screened_out\"".to_string(),
-                SearchEvent::CacheHit { shard } => {
-                    format!("\"kind\":\"cache_hit\",\"shard\":{shard}")
-                }
-                SearchEvent::CacheMiss { shard } => {
-                    format!("\"kind\":\"cache_miss\",\"shard\":{shard}")
-                }
+                SearchEvent::CacheHit => "\"kind\":\"cache_hit\"".to_string(),
+                SearchEvent::CacheMiss => "\"kind\":\"cache_miss\"".to_string(),
                 SearchEvent::FlushBatch { size } => {
                     format!("\"kind\":\"flush_batch\",\"size\":{size}")
                 }
@@ -354,11 +344,8 @@ mod tests {
 
     #[test]
     fn event_json_is_stable_and_typed() {
-        let e = Event::search(3, SearchEvent::CacheHit { shard: 5 });
-        assert_eq!(
-            event_json(&e),
-            "{\"type\":\"search\",\"tick\":3,\"kind\":\"cache_hit\",\"shard\":5}"
-        );
+        let e = Event::search(3, SearchEvent::CacheHit);
+        assert_eq!(event_json(&e), "{\"type\":\"search\",\"tick\":3,\"kind\":\"cache_hit\"}");
         let e = Event::serve(0.5, ServeEvent::DecodeIter { batch: 4, resident_kv: 1024 });
         assert_eq!(
             event_json(&e),

@@ -10,15 +10,14 @@
 //! The three layers:
 //!
 //! - [`Event`] / [`SearchEvent`] / [`ServeEvent`] — the typed vocabulary,
-//!   recorded through a [`Recorder`] into any [`TelemetrySink`]
-//!   ([`VecSink`], [`RingSink`], [`JsonLinesSink`], [`FanoutSink`]).
-//!   The default recorder is disabled: `emit` is a single branch and the
-//!   event closure never runs.
+//!   recorded through a [`Recorder`] into a [`TelemetrySink`] (every
+//!   caller uses [`VecSink`]); [`event_json`] renders one event as one
+//!   deterministic JSON object. The default recorder is disabled: `emit`
+//!   is a single branch and the event closure never runs.
 //! - [`Metrics`] — monotonic counters, gauges, and fixed-bucket
-//!   [`Histogram`]s (per-shard cache traffic, screen-reject rate, batch
+//!   [`Histogram`]s (cache hits and misses, screen-reject rate, batch
 //!   and queue-depth distributions), built from a stream with
-//!   [`Metrics::from_events`] or accumulated live via [`MetricsSink`],
-//!   and snapshotted as deterministic JSON with
+//!   [`Metrics::from_events`] and snapshotted as deterministic JSON with
 //!   [`Metrics::summary_json`].
 //! - [`serve_trace_json`] / [`fleet_trace_json`] / [`search_trace_json`]
 //!   — Chrome-trace JSON for `chrome://tracing` /
@@ -41,7 +40,7 @@ mod profile;
 mod sink;
 
 pub use event::{event_json, Event, SearchEvent, ServeEvent};
-pub use metrics::{Histogram, Metrics, MetricsSink};
+pub use metrics::{Histogram, Metrics};
 pub use perfetto::{
     fleet_trace_json, search_trace_json, serve_trace_json, validate_chrome_trace, ChromeTrace,
 };
@@ -49,7 +48,7 @@ pub use profile::{
     folded_stack_text, roofline_csv, roofline_json, search_budget_json, validate_folded_stacks,
     RooflinePoint, SearchBudgetAttribution,
 };
-pub use sink::{FanoutSink, JsonLinesSink, Recorder, RingSink, TelemetrySink, VecSink};
+pub use sink::{Recorder, TelemetrySink, VecSink};
 
 /// The JSON scalar writers every exporter in the workspace shares
 /// (telemetry streams and snapshots, the DSE frontier files),

@@ -8,7 +8,6 @@
 
 use crate::event::{num, quoted, Event, SearchEvent, ServeEvent};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// A fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
 /// bucket `i`, with one extra overflow bucket at the end. Bounds are set
@@ -140,21 +139,14 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Fold one event into the registry. `from_events` is this in a loop;
-    /// `MetricsSink` is this behind a mutex.
+    /// Fold one event into the registry. `from_events` is this in a loop.
     pub fn accumulate(&mut self, event: &Event) {
         match event {
             Event::Search { kind, .. } => match kind {
                 SearchEvent::Staged => self.inc("search.staged", 1),
                 SearchEvent::ScreenedOut => self.inc("search.screened_out", 1),
-                SearchEvent::CacheHit { shard } => {
-                    self.inc("search.cache.hit", 1);
-                    self.inc(&format!("search.cache.shard.{shard:03}.hit"), 1);
-                }
-                SearchEvent::CacheMiss { shard } => {
-                    self.inc("search.cache.miss", 1);
-                    self.inc(&format!("search.cache.shard.{shard:03}.miss"), 1);
-                }
+                SearchEvent::CacheHit => self.inc("search.cache.hit", 1),
+                SearchEvent::CacheMiss => self.inc("search.cache.miss", 1),
                 SearchEvent::FlushBatch { size } => {
                     self.inc("search.flushes", 1);
                     self.observe_with("search.flush_batch", *size as f64, || Histogram::pow2(4096));
@@ -297,33 +289,6 @@ impl Metrics {
     }
 }
 
-/// A sink that folds events straight into a `Metrics` registry — the
-/// always-on companion to a trace sink via `FanoutSink`.
-#[derive(Debug, Default)]
-pub struct MetricsSink {
-    metrics: Mutex<Metrics>,
-}
-
-impl MetricsSink {
-    /// An empty metrics sink.
-    pub fn new() -> Self {
-        MetricsSink::default()
-    }
-
-    /// Snapshot the accumulated registry (derived gauges recomputed).
-    pub fn snapshot(&self) -> Metrics {
-        let mut metrics = self.metrics.lock().expect("telemetry sink poisoned").clone();
-        metrics.derive_gauges();
-        metrics
-    }
-}
-
-impl crate::sink::TelemetrySink for MetricsSink {
-    fn record(&self, event: Event) {
-        self.metrics.lock().expect("telemetry sink poisoned").accumulate(&event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,15 +311,15 @@ mod tests {
     fn from_events_derives_headline_gauges() {
         let events = vec![
             Event::search(1, SearchEvent::Staged),
-            Event::search(1, SearchEvent::CacheMiss { shard: 0 }),
+            Event::search(1, SearchEvent::CacheMiss),
             Event::search(2, SearchEvent::Staged),
-            Event::search(2, SearchEvent::CacheHit { shard: 3 }),
+            Event::search(2, SearchEvent::CacheHit),
             Event::search(2, SearchEvent::ScreenedOut),
             Event::serve(0.1, ServeEvent::DecodeIter { batch: 4, resident_kv: 64 }),
             Event::serve(0.2, ServeEvent::DecodeIter { batch: 2, resident_kv: 32 }),
         ];
         let m = Metrics::from_events(&events);
-        assert_eq!(m.counter("search.cache.shard.003.hit"), 1);
+        assert_eq!(m.counter("search.cache.hit"), 1);
         assert_eq!(m.gauge("search.cache.hit_ratio"), Some(0.5));
         assert_eq!(m.gauge("search.screen_reject_rate"), Some(1.0 / 3.0));
         assert_eq!(m.gauge("serve.batch_mean"), Some(3.0));
@@ -392,19 +357,5 @@ mod tests {
         assert!(json.find("\"alpha\"").unwrap() < json.find("\"zeta\"").unwrap());
         assert_eq!(json, m.clone().summary_json());
         assert!(json.starts_with("{\"counters\":{"));
-    }
-
-    #[test]
-    fn metrics_sink_accumulates_like_from_events() {
-        use crate::sink::TelemetrySink;
-        let events = vec![
-            Event::search(1, SearchEvent::Staged),
-            Event::serve(0.0, ServeEvent::Arrive { req: 0 }),
-        ];
-        let sink = MetricsSink::new();
-        for e in &events {
-            sink.record(e.clone());
-        }
-        assert_eq!(sink.snapshot(), Metrics::from_events(&events));
     }
 }

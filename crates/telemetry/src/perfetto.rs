@@ -411,7 +411,7 @@ pub fn search_trace_json(streams: &[(&str, &[Event])]) -> String {
                 SearchEvent::FrontierInsert { frontier_len, .. } => {
                     trace.counter("frontier_len", pid, t, *frontier_len as f64);
                 }
-                SearchEvent::CacheHit { .. } => {
+                SearchEvent::CacheHit => {
                     hits += 1;
                     trace.counter("cache_hits", pid, t, hits as f64);
                     if let Some(c) = chain {
@@ -419,7 +419,7 @@ pub fn search_trace_json(streams: &[(&str, &[Event])]) -> String {
                         trace.counter(&format!("cache_hits c{c}"), pid, t, chain_hits as f64);
                     }
                 }
-                SearchEvent::CacheMiss { .. } => {
+                SearchEvent::CacheMiss => {
                     misses += 1;
                     trace.counter("cache_misses", pid, t, misses as f64);
                     if let Some(c) = chain {
@@ -529,7 +529,7 @@ mod tests {
     #[test]
     fn search_trace_tracks_convergence_per_strategy() {
         let a = vec![
-            Event::search(1, SearchEvent::CacheMiss { shard: 0 }),
+            Event::search(1, SearchEvent::CacheMiss),
             Event::search(5, SearchEvent::HypervolumeSample { fraction: 0.5 }),
             Event::search(9, SearchEvent::HypervolumeSample { fraction: 0.9 }),
         ];
@@ -547,10 +547,10 @@ mod tests {
     fn search_trace_adds_per_chain_tracks_on_chain_markers() {
         let a = vec![
             Event::search(0, SearchEvent::ChainStart { chain: 0 }),
-            Event::search(1, SearchEvent::CacheMiss { shard: 0 }),
-            Event::search(2, SearchEvent::CacheHit { shard: 0 }),
+            Event::search(1, SearchEvent::CacheMiss),
+            Event::search(2, SearchEvent::CacheHit),
             Event::search(2, SearchEvent::ChainStart { chain: 1 }),
-            Event::search(3, SearchEvent::CacheHit { shard: 1 }),
+            Event::search(3, SearchEvent::CacheHit),
         ];
         let json = search_trace_json(&[("annealing", &a)]);
         validate_chrome_trace(&json).expect("valid trace");
@@ -561,7 +561,7 @@ mod tests {
         // Run-wide cumulative tracks are still present alongside.
         assert!(json.contains("\"cache_hits\""));
         // No markers -> no chain tracks (legacy streams unchanged).
-        let b = vec![Event::search(1, SearchEvent::CacheHit { shard: 0 })];
+        let b = vec![Event::search(1, SearchEvent::CacheHit)];
         let json = search_trace_json(&[("random", &b)]);
         assert!(!json.contains(" c0\""));
         assert!(!json.contains("\"chain\""));

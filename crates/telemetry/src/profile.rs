@@ -182,8 +182,8 @@ impl SearchBudgetAttribution {
             match kind {
                 SearchEvent::Staged => a.staged += 1,
                 SearchEvent::ScreenedOut => a.screened_out += 1,
-                SearchEvent::CacheHit { .. } => a.cache_hits += 1,
-                SearchEvent::CacheMiss { .. } => a.full_evals += 1,
+                SearchEvent::CacheHit => a.cache_hits += 1,
+                SearchEvent::CacheMiss => a.full_evals += 1,
                 SearchEvent::FlushBatch { .. } => a.flushes += 1,
                 SearchEvent::ChainStart { .. } => a.chains += 1,
                 SearchEvent::FrontierInsert { .. } | SearchEvent::HypervolumeSample { .. } => {}
@@ -290,9 +290,9 @@ mod tests {
             Event::search(0, SearchEvent::ChainStart { chain: 0 }),
             Event::search(0, SearchEvent::ScreenedOut),
             Event::search(1, SearchEvent::Staged),
-            Event::search(1, SearchEvent::CacheMiss { shard: 2 }),
+            Event::search(1, SearchEvent::CacheMiss),
             Event::search(2, SearchEvent::Staged),
-            Event::search(2, SearchEvent::CacheHit { shard: 1 }),
+            Event::search(2, SearchEvent::CacheHit),
             Event::search(2, SearchEvent::FlushBatch { size: 2 }),
         ];
         let a = SearchBudgetAttribution::from_events(&events);

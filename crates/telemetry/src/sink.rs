@@ -5,9 +5,7 @@
 //! single branch — the event closure never runs, so instrumentation
 //! compiles to (almost) nothing on the uninstrumented path.
 
-use crate::event::{event_json, Event};
-use std::collections::VecDeque;
-use std::io::Write;
+use crate::event::Event;
 use std::sync::{Arc, Mutex};
 
 /// Receives telemetry events. Implementations must tolerate being called
@@ -108,99 +106,10 @@ impl TelemetrySink for VecSink {
     }
 }
 
-/// A bounded ring buffer: keeps the most recent `capacity` events.
-/// The right sink for always-on telemetry in long runs where only the
-/// tail matters (e.g. "what led up to the SLA miss").
-pub struct RingSink {
-    capacity: usize,
-    events: Mutex<VecDeque<Event>>,
-}
-
-impl RingSink {
-    /// A ring keeping at most `capacity` events (capacity 0 keeps none).
-    pub fn new(capacity: usize) -> Self {
-        RingSink { capacity, events: Mutex::new(VecDeque::with_capacity(capacity.min(1024))) }
-    }
-
-    /// The retained tail, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("telemetry sink poisoned").iter().cloned().collect()
-    }
-}
-
-impl TelemetrySink for RingSink {
-    fn record(&self, event: Event) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut events = self.events.lock().expect("telemetry sink poisoned");
-        if events.len() == self.capacity {
-            events.pop_front();
-        }
-        events.push_back(event);
-    }
-}
-
-/// Streams each event as one JSON object per line to a writer. Lines use
-/// the deterministic `event_json` encoding, so two replays of the same
-/// seed produce byte-identical files.
-pub struct JsonLinesSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wrap `writer`; each recorded event appends one line.
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer: Mutex::new(writer) }
-    }
-
-    /// Flush and return the inner writer.
-    pub fn into_inner(self) -> W {
-        let mut writer = self.writer.into_inner().expect("telemetry sink poisoned");
-        let _ = writer.flush();
-        writer
-    }
-}
-
-impl<W: Write + Send> TelemetrySink for JsonLinesSink<W> {
-    fn record(&self, event: Event) {
-        let mut writer = self.writer.lock().expect("telemetry sink poisoned");
-        let _ = writeln!(writer, "{}", event_json(&event));
-    }
-}
-
-/// Forwards every event to all inner sinks, in order — e.g. a `VecSink`
-/// for the Perfetto export plus a `MetricsSink` for the summary.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn TelemetrySink>>,
-}
-
-impl FanoutSink {
-    /// An empty fanout (records to nobody).
-    pub fn new() -> Self {
-        FanoutSink::default()
-    }
-
-    /// Add a downstream sink.
-    pub fn with(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-}
-
-impl TelemetrySink for FanoutSink {
-    fn record(&self, event: Event) {
-        for sink in &self.sinks {
-            sink.record(event.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{SearchEvent, ServeEvent};
+    use crate::event::SearchEvent;
 
     #[test]
     fn disabled_recorder_never_constructs_events() {
@@ -218,40 +127,6 @@ mod tests {
         let events = sink.events();
         assert_eq!(events.len(), 4);
         assert!(matches!(events[3], Event::Search { tick: 3, .. }));
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let ring = Arc::new(RingSink::new(2));
-        let recorder = Recorder::new(ring.clone());
-        for tick in 0..5 {
-            recorder.emit(|| Event::search(tick, SearchEvent::Staged));
-        }
-        let events = ring.events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], Event::Search { tick: 3, .. }));
-        assert!(matches!(events[1], Event::Search { tick: 4, .. }));
-    }
-
-    #[test]
-    fn json_lines_sink_writes_one_line_per_event() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(Event::serve(0.0, ServeEvent::Arrive { req: 1 }));
-        sink.record(Event::serve(0.25, ServeEvent::Admit { req: 1 }));
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with("{\"type\":\"serve\"")));
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Arc::new(VecSink::new());
-        let b = Arc::new(VecSink::new());
-        let fan = FanoutSink::new().with(a.clone()).with(b.clone());
-        fan.record(Event::search(0, SearchEvent::Staged));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
             ConfigKind::FuseMaxBinding,
         ])
         .with_seq_lens([1 << 16, 1 << 18]);
-    println!("\nSweeping {} candidate designs (rayon-parallel)...", space.len());
+    println!("\nSweeping {} candidate designs...", space.len());
 
     let outcome = sweeper.sweep(&space);
     println!(

@@ -33,8 +33,9 @@ use fusemax::telemetry::{Event, ServeEvent, VecSink};
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
+
+mod common;
 
 /// The acceptance trace family: mostly short prompts, a long tail.
 fn mixed_spec(rate: f64, requests: usize) -> TrafficSpec {
@@ -408,22 +409,5 @@ fn fault_acceptance_report() -> String {
 /// the checked-in artifact byte for byte.
 #[test]
 fn seeded_fault_report_matches_the_checked_in_golden() {
-    const GOLDEN_PATH: &str = "tests/golden/fault_report.txt";
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let current = fault_acceptance_report();
-
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &current).expect("write golden");
-        eprintln!("golden updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        current, golden,
-        "fault report drifted from {GOLDEN_PATH}.\n\
-         If the change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test fault"
-    );
+    common::check_golden("tests/golden/fault_report.txt", &fault_acceptance_report(), "fault");
 }

@@ -24,8 +24,9 @@ use fusemax::serve::{
 };
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
-use std::path::Path;
 use std::sync::Arc;
+
+mod common;
 
 /// The acceptance trace family: mostly short prompts, a long tail.
 fn mixed_spec(rate: f64, requests: usize) -> TrafficSpec {
@@ -288,22 +289,5 @@ fn fleet_acceptance_report() -> String {
 /// must match the checked-in artifact byte for byte.
 #[test]
 fn seeded_fleet_report_matches_the_checked_in_golden() {
-    const GOLDEN_PATH: &str = "tests/golden/fleet_report.txt";
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let current = fleet_acceptance_report();
-
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &current).expect("write golden");
-        eprintln!("golden updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        current, golden,
-        "fleet report drifted from {GOLDEN_PATH}.\n\
-         If the change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test fleet"
-    );
+    common::check_golden("tests/golden/fleet_report.txt", &fleet_acceptance_report(), "fleet");
 }

@@ -18,6 +18,8 @@ use fusemax::model::ModelParams;
 use fusemax::workloads::TransformerConfig;
 use std::path::{Path, PathBuf};
 
+mod common;
+
 /// CSV renders are used for the grids: `Grid::to_csv` formats every value
 /// with Rust's shortest-round-trip `f64` formatting, so the bytes are a
 /// deterministic function of the model — exactly what a golden diff needs.
@@ -59,28 +61,13 @@ fn current(name: &str) -> String {
 /// `FUSEMAX_UPDATE_GOLDEN` is set, and always leaving the current render
 /// under `target/figures/` for artifact upload.
 fn gate(name: &str) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let golden_path = root.join("tests/golden").join(name);
     let rendered = current(name);
 
-    let out_dir: PathBuf = root.join("target/figures");
+    let out_dir: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/figures");
     std::fs::create_dir_all(&out_dir).expect("create target/figures");
     std::fs::write(out_dir.join(name), &rendered).expect("write current render");
 
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &rendered).expect("write golden");
-        eprintln!("golden updated at {}", golden_path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", golden_path.display()));
-    assert_eq!(
-        rendered, golden,
-        "{name} drifted from tests/golden/{name}.\n\
-         If the model change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test golden_figures"
-    );
+    common::check_golden(&format!("tests/golden/{name}"), &rendered, "golden_figures");
 }
 
 #[test]

@@ -11,6 +11,8 @@ use fusemax::dse::{frontiers_only_json, DesignSpace, Sweeper};
 use fusemax::model::ModelParams;
 use std::path::Path;
 
+mod common;
+
 const GOLDEN_PATH: &str = "tests/golden/fig12_frontier.json";
 
 /// The exact JSON the current model produces for the paper's Fig 12
@@ -23,24 +25,7 @@ fn current_fig12_json() -> String {
 
 #[test]
 fn fig12_frontier_matches_the_checked_in_golden() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join(GOLDEN_PATH);
-    let current = current_fig12_json();
-
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &current).expect("write golden");
-        eprintln!("golden updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        current, golden,
-        "Fig 12 frontier drifted from {GOLDEN_PATH}.\n\
-         If the model change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test golden_frontier"
-    );
+    common::check_golden(GOLDEN_PATH, &current_fig12_json(), "golden_frontier");
 }
 
 #[test]

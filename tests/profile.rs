@@ -20,17 +20,15 @@ use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
 use std::path::Path;
 
-const GOLDEN_PATH: &str = "tests/golden/explain.txt";
+mod common;
 
 #[test]
 fn explain_report_matches_the_checked_in_golden() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join(GOLDEN_PATH);
     let artifacts = explain(&ModelParams::default());
 
     // Always leave the current render (and the profile artifacts) under
     // target/profile for CI upload, pass or fail.
-    let out_dir = root.join("target/profile");
+    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/profile");
     std::fs::create_dir_all(&out_dir).expect("create target/profile");
     std::fs::write(out_dir.join("explain.txt"), &artifacts.text).expect("write explain");
     std::fs::write(out_dir.join("flamegraph.folded"), &artifacts.folded).expect("write folded");
@@ -39,20 +37,7 @@ fn explain_report_matches_the_checked_in_golden() {
     std::fs::write(out_dir.join("roofline.csv"), roofline_csv(&artifacts.roofline))
         .expect("write roofline csv");
 
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &artifacts.text).expect("write golden");
-        eprintln!("golden updated at {}", path.display());
-        return;
-    }
-
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        artifacts.text, golden,
-        "explain report drifted from {GOLDEN_PATH}.\n\
-         If the change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test profile"
-    );
+    common::check_golden("tests/golden/explain.txt", &artifacts.text, "profile");
 }
 
 #[test]

@@ -23,7 +23,8 @@ use fusemax::telemetry::{
 };
 use fusemax::workloads::TransformerConfig;
 use proptest::prelude::*;
-use std::path::Path;
+
+mod common;
 
 /// The seeded BERT trace on the +Binding design under `policy`,
 /// instrumented end to end.
@@ -63,28 +64,13 @@ fn spf_policy(ratio: f64) -> SchedulerPolicy {
         .with_waiting_served_ratio(ratio)
 }
 
-/// Compares `current` with the golden at `rel` (repo-relative), or
-/// rewrites the golden under `FUSEMAX_UPDATE_GOLDEN`.
-fn check_golden(rel: &str, current: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
-    if std::env::var_os("FUSEMAX_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, current).expect("write golden");
-        eprintln!("golden updated at {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert_eq!(
-        current, golden,
-        "telemetry drifted from {rel}.\n\
-         If the engine change is intentional, regenerate with\n\
-         FUSEMAX_UPDATE_GOLDEN=1 cargo test --test telemetry"
-    );
-}
-
 #[test]
 fn seeded_serve_trace_matches_the_checked_in_golden() {
-    check_golden("tests/golden/serve_trace.json", &serve_trace_json(&seeded_serve_events()));
+    common::check_golden(
+        "tests/golden/serve_trace.json",
+        &serve_trace_json(&seeded_serve_events()),
+        "telemetry",
+    );
 }
 
 #[test]
@@ -127,7 +113,7 @@ fn seeded_spf_serve_trace_matches_the_checked_in_golden() {
     );
     let json = serve_trace_json(&events);
     validate_chrome_trace(&json).expect("exported trace is valid");
-    check_golden("tests/golden/serve_trace_spf.json", &json);
+    common::check_golden("tests/golden/serve_trace_spf.json", &json, "telemetry");
 }
 
 #[test]
@@ -236,7 +222,7 @@ fn seeded_telemetry_counts_match_the_bench_baseline_golden() {
         a.flushes,
         a.chains,
     );
-    check_golden("tests/golden/bench_baseline.json", &counts);
+    common::check_golden("tests/golden/bench_baseline.json", &counts, "telemetry");
 }
 
 /// Collapses frontiers to comparable bits: instrumentation must not move
