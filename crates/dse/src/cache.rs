@@ -2,11 +2,14 @@
 //! searches and figure regeneration on one [`crate::Sweeper`] reuse
 //! analytical-model results instead of recomputing them.
 
-use crate::space::{DesignPoint, FleetSpec, QueueOrder};
+use crate::space::{DesignPoint, FleetSpec, QueueOrder, SchedulerPolicy};
 use crate::sweep::Evaluation;
-use fusemax_arch::ExpCost;
+use fusemax_arch::{ArchConfig, ExpCost};
+use fusemax_model::ConfigKind;
+use fusemax_workloads::TransformerConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -31,7 +34,7 @@ pub struct PointKey {
     word_bytes: u64,
     pe_2d: fusemax_arch::PeKind,
     exp_cost: (u8, u32),
-    kind: fusemax_model::ConfigKind,
+    kind: ConfigKind,
     model_name: &'static str,
     layers: usize,
     heads: usize,
@@ -48,8 +51,25 @@ pub struct PointKey {
 impl PointKey {
     /// Builds the key for `point`.
     pub fn of(point: &DesignPoint) -> Self {
-        let arch = &point.arch;
-        let w = &point.workload;
+        PointKey::new(
+            &point.arch,
+            point.kind,
+            &point.workload,
+            point.seq_len,
+            point.policy,
+            point.fleet,
+        )
+    }
+
+    /// The key of the point these fields make up, without building it.
+    pub(crate) fn new(
+        arch: &ArchConfig,
+        kind: ConfigKind,
+        workload: &TransformerConfig,
+        seq_len: usize,
+        policy: SchedulerPolicy,
+        fleet: FleetSpec,
+    ) -> Self {
         PointKey {
             array_rows: arch.array_rows,
             array_cols: arch.array_cols,
@@ -63,21 +83,47 @@ impl PointKey {
                 ExpCost::SingleOp => (0, 0),
                 ExpCost::ChainedMaccs(n) => (1, n),
             },
-            kind: point.kind,
-            model_name: w.name,
-            layers: w.layers,
-            heads: w.heads,
-            head_dim: w.head_dim,
-            ffn_dim: w.ffn_dim,
-            batch: w.batch,
-            seq_len: point.seq_len,
-            chunk_tokens: point.policy.chunk_tokens,
-            waiting_ratio_bits: point.policy.waiting_served_ratio.to_bits(),
-            queue_order: point.policy.queue_order,
-            fleet: point.fleet,
+            kind,
+            model_name: workload.name,
+            layers: workload.layers,
+            heads: workload.heads,
+            head_dim: workload.head_dim,
+            ffn_dim: workload.ffn_dim,
+            batch: workload.batch,
+            seq_len,
+            chunk_tokens: policy.chunk_tokens,
+            waiting_ratio_bits: policy.waiting_served_ratio.to_bits(),
+            queue_order: policy.queue_order,
+            fleet,
         }
     }
 }
+
+/// The cache map's hasher: rustc's Fx hash, one rotate, xor and multiply
+/// per 8-byte word. A key is ~25 words of the program's own data, so
+/// SipHash's resistance to crafted collisions buys nothing here but time,
+/// and the map is never iterated, so the hasher orders nothing anyone
+/// sees.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The cache's map from key to canonical evaluation.
+pub(crate) type Map = HashMap<PointKey, Arc<Evaluation>, BuildHasherDefault<FxHasher>>;
 
 /// A thread-safe map from [`PointKey`] to finished [`Evaluation`]s, with
 /// hit/miss counters.
@@ -87,7 +133,7 @@ impl PointKey {
 /// construction.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: Mutex<HashMap<PointKey, Arc<Evaluation>>>,
+    map: Mutex<Map>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -98,8 +144,9 @@ impl EvalCache {
         Self::default()
     }
 
-    /// The locked map.
-    fn map(&self) -> MutexGuard<'_, HashMap<PointKey, Arc<Evaluation>>> {
+    /// The locked map. Nothing here counts the lookups a caller makes
+    /// through it.
+    pub(crate) fn map(&self) -> MutexGuard<'_, Map> {
         self.map.lock().expect("cache poisoned")
     }
 
@@ -171,14 +218,14 @@ impl EvalCache {
 
 /// Fold a cache's counters into a telemetry
 /// [`Metrics`](fusemax_telemetry::Metrics) registry: the hit and miss
-/// counters, the hit ratio and the entry count.
+/// counters, the hit ratio and the entry count. The counters add to any
+/// the registry already holds, and the ratio is re-derived from the sums
+/// ([`Metrics::derive_gauges`](fusemax_telemetry::Metrics::derive_gauges)),
+/// so it always describes the same lookups as the counters beside it.
 pub fn record_cache_metrics(cache: &EvalCache, metrics: &mut fusemax_telemetry::Metrics) {
-    let (hits, misses) = (cache.hits(), cache.misses());
-    metrics.inc("search.cache.hit", hits);
-    metrics.inc("search.cache.miss", misses);
-    if hits + misses > 0 {
-        metrics.set_gauge("search.cache.hit_ratio", hits as f64 / (hits + misses) as f64);
-    }
+    metrics.inc("search.cache.hit", cache.hits());
+    metrics.inc("search.cache.miss", cache.misses());
+    metrics.derive_gauges();
     metrics.set_gauge("search.cache.entries", cache.len() as f64);
 }
 
@@ -282,6 +329,13 @@ mod tests {
         assert_eq!(metrics.counter("search.cache.miss"), 1);
         assert_eq!(metrics.gauge("search.cache.hit_ratio"), Some(0.5));
         assert_eq!(metrics.gauge("search.cache.entries"), Some(1.0));
+        // Folded into a registry that already counted two misses, the
+        // ratio follows the summed counters, not this cache's alone.
+        let mut metrics = fusemax_telemetry::Metrics::new();
+        metrics.inc("search.cache.miss", 2);
+        record_cache_metrics(&cache, &mut metrics);
+        assert_eq!(metrics.counter("search.cache.miss"), 3);
+        assert_eq!(metrics.gauge("search.cache.hit_ratio"), Some(0.25));
     }
 
     #[test]

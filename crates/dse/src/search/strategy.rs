@@ -466,7 +466,7 @@ impl<'a> Session<'a> {
             && self.stats.screened < self.cheap_budget
             && !self.sweeper.cache().contains(&key)
         {
-            let group = group_index(&mut self.frontiers, &point);
+            let group = group_index(&mut self.frontiers, point.workload.name, point.seq_len);
             if !self.frontiers[group].frontier.admits(&self.sweeper.lower_bound(&point)) {
                 self.stats.screened += 1;
                 self.rejected.insert(key);
@@ -516,7 +516,8 @@ impl<'a> Session<'a> {
                 self.trace(SearchEvent::CacheHit);
             }
             self.seen.insert(PointKey::of(&evaluation.point), Arc::clone(&evaluation));
-            let group = group_index(&mut self.frontiers, &evaluation.point);
+            let point = &evaluation.point;
+            let group = group_index(&mut self.frontiers, point.workload.name, point.seq_len);
             let admitted = self.frontiers[group].frontier.insert(Arc::clone(&evaluation));
             if self.tracing {
                 let frontier_len = self.frontiers[group].frontier.len();

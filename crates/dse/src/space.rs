@@ -1,6 +1,7 @@
 //! The design space: the cartesian product of architecture and workload
 //! knobs, enumerated into concrete [`DesignPoint`]s.
 
+use crate::cache::PointKey;
 use fusemax_arch::ArchConfig;
 use fusemax_model::ConfigKind;
 use fusemax_workloads::TransformerConfig;
@@ -611,26 +612,42 @@ impl DesignSpace {
     ///
     /// Panics if any index is out of range for its axis.
     pub fn point_at(&self, index: AxisIndex) -> DesignPoint {
-        let [wi, si, ki, di, fi, bi, pi, gi] = index;
-        let workload = &self.workloads[wi];
-        let seq_len = self.seq_lens[si];
-        let kind = self.kinds[ki];
-        let n = self.array_dims[di];
-        let freq = self.frequencies_hz[fi];
-        let buf_scale = self.buffer_scales[bi];
-        let policy = self.policies[pi];
-        let fleet = self.fleets[gi];
+        self.point_with(index, self.arch_at(index))
+    }
 
-        let mut arch = arch_for(kind, n);
-        if let Some(hz) = freq {
+    /// The architecture of `index`'s kind, array dimension, frequency and
+    /// buffer scale: the family chip of [`arch_for`], re-clocked and
+    /// re-buffered by the knob axes, each knob tagged onto its name.
+    fn arch_at(&self, [_, _, ki, di, fi, bi, _, _]: AxisIndex) -> ArchConfig {
+        let mut arch = arch_for(self.kinds[ki], self.array_dims[di]);
+        if let Some(hz) = self.frequencies_hz[fi] {
             arch.frequency_hz = hz;
             arch.name = format!("{}@{:.0}MHz", arch.name, hz / 1e6);
         }
+        let buf_scale = self.buffer_scales[bi];
         if buf_scale != 1.0 {
             arch.global_buffer_bytes = (arch.global_buffer_bytes as f64 * buf_scale).ceil() as u64;
             arch.name = format!("{}-buf{buf_scale:.2}x", arch.name);
         }
-        DesignPoint { arch, kind, workload: workload.clone(), seq_len, array_dim: n, policy, fleet }
+        arch
+    }
+
+    /// The point `index` addresses, on `arch` (which must be
+    /// [`DesignSpace::arch_at`] of `index`).
+    fn point_with(
+        &self,
+        [wi, si, ki, di, _, _, pi, gi]: AxisIndex,
+        arch: ArchConfig,
+    ) -> DesignPoint {
+        DesignPoint {
+            arch,
+            kind: self.kinds[ki],
+            workload: self.workloads[wi].clone(),
+            seq_len: self.seq_lens[si],
+            array_dim: self.array_dims[di],
+            policy: self.policies[pi],
+            fleet: self.fleets[gi],
+        }
     }
 
     /// Materializes either [`Candidate`] variant into a concrete
@@ -708,35 +725,9 @@ impl DesignSpace {
     /// [`crate::search::SnapPolicy::Continuous`] run return `false` —
     /// they are designs the grid cannot express.
     pub fn is_on_grid(&self, point: &DesignPoint) -> bool {
-        let key = crate::cache::PointKey::of(point);
-        let [nw, ns, nk, nd, nf, nb, np, ng] = self.axis_lens();
-        for wi in 0..nw {
-            if self.workloads[wi].name != point.workload.name {
-                continue;
-            }
-            for si in 0..ns {
-                if self.seq_lens[si] != point.seq_len {
-                    continue;
-                }
-                for ki in 0..nk {
-                    for di in 0..nd {
-                        for fi in 0..nf {
-                            for bi in 0..nb {
-                                for pi in 0..np {
-                                    for gi in 0..ng {
-                                        let grid = self.point_at([wi, si, ki, di, fi, bi, pi, gi]);
-                                        if crate::cache::PointKey::of(&grid) == key {
-                                            return true;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        false
+        let key = PointKey::of(point);
+        let grid = GridWalk::new(self);
+        grid.indices().any(|index| grid.key(index) == key)
     }
 
     /// Number of candidate points the space enumerates.
@@ -762,27 +753,112 @@ impl DesignSpace {
     /// tests rely on. Each point is exactly what
     /// [`DesignSpace::point_at`] returns for its index.
     pub fn points(&self) -> Vec<DesignPoint> {
-        let mut out = Vec::with_capacity(self.len());
-        let [nw, ns, nk, nd, nf, nb, np, ng] = self.axis_lens();
-        for wi in 0..nw {
-            for si in 0..ns {
-                for ki in 0..nk {
-                    for di in 0..nd {
-                        for fi in 0..nf {
-                            for bi in 0..nb {
-                                for pi in 0..np {
-                                    for gi in 0..ng {
-                                        out.push(self.point_at([wi, si, ki, di, fi, bi, pi, gi]));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        let grid = GridWalk::new(self);
+        grid.indices().map(|index| grid.point(index)).collect()
     }
+}
+
+/// The grid walk behind [`DesignSpace::points`], [`DesignSpace::is_on_grid`]
+/// and both sweeps. It builds each architecture of the space once per
+/// (kind, array dimension, frequency, buffer scale) index, and hands out
+/// grid indices in a sweep's order with the key and the point of each, so
+/// a walk formats no name per point and a key allocates nothing.
+pub(crate) struct GridWalk<'a> {
+    space: &'a DesignSpace,
+    /// [`DesignSpace::arch_at`] of every (kind, dim, frequency, buffer)
+    /// index, last axis fastest. Empty for an empty space, whose non-empty
+    /// axes may hold values no architecture can be built from (a zero
+    /// array dimension).
+    archs: Vec<ArchConfig>,
+}
+
+impl<'a> GridWalk<'a> {
+    pub(crate) fn new(space: &'a DesignSpace) -> Self {
+        let [_, _, nk, nd, nf, nb, _, _] = space.axis_lens();
+        let archs = if space.is_empty() {
+            Vec::new()
+        } else {
+            odometer([1, 1, nk, nd, nf, nb, 1, 1]).map(|index| space.arch_at(index)).collect()
+        };
+        GridWalk { space, archs }
+    }
+
+    fn arch(&self, [_, _, ki, di, fi, bi, _, _]: AxisIndex) -> &ArchConfig {
+        let [_, _, _, nd, nf, nb, _, _] = self.space.axis_lens();
+        &self.archs[((ki * nd + di) * nf + fi) * nb + bi]
+    }
+
+    /// The cache key of the point `index` addresses, without building it.
+    pub(crate) fn key(&self, index: AxisIndex) -> PointKey {
+        let [wi, si, ki, _, _, _, pi, gi] = index;
+        let s = self.space;
+        PointKey::new(
+            self.arch(index),
+            s.kinds[ki],
+            &s.workloads[wi],
+            s.seq_lens[si],
+            s.policies[pi],
+            s.fleets[gi],
+        )
+    }
+
+    /// The point `index` addresses: [`DesignSpace::point_at`], with the
+    /// architecture cloned instead of rebuilt.
+    pub(crate) fn point(&self, index: AxisIndex) -> DesignPoint {
+        self.space.point_with(index, self.arch(index).clone())
+    }
+
+    /// Every grid index in space order.
+    pub(crate) fn indices(&self) -> impl Iterator<Item = AxisIndex> {
+        self.walk(vec![(0..self.space.kinds.len()).collect()])
+    }
+
+    /// Every grid index, the strongest kinds first: kinds in descending
+    /// order, the kind-axis entries of one kind in axis order, and
+    /// otherwise space order. This is space order stably sorted by
+    /// descending kind.
+    pub(crate) fn strongest_first(&self) -> impl Iterator<Item = AxisIndex> {
+        let kinds = &self.space.kinds;
+        let mut order = kinds.clone();
+        order.sort_unstable_by(|a, b| b.cmp(a));
+        order.dedup();
+        let runs = order
+            .into_iter()
+            .map(|kind| (0..kinds.len()).filter(|&ki| kinds[ki] == kind).collect())
+            .collect();
+        self.walk(runs)
+    }
+
+    /// Space order once per run, with the kind axis walked through the
+    /// run's kind-axis indices instead of all of them.
+    fn walk(&self, runs: Vec<Vec<usize>>) -> impl Iterator<Item = AxisIndex> {
+        let lens = self.space.axis_lens();
+        runs.into_iter().flat_map(move |run| {
+            let mut run_lens = lens;
+            run_lens[2] = run.len();
+            odometer(run_lens).map(move |mut index| {
+                index[2] = run[index[2]];
+                index
+            })
+        })
+    }
+}
+
+/// Every index below `lens`, last axis fastest: the order of eight nested
+/// loops. Nothing when an axis is empty.
+fn odometer(lens: AxisIndex) -> impl Iterator<Item = AxisIndex> {
+    let first = (!lens.contains(&0)).then_some([0; 8]);
+    std::iter::successors(first, move |&index| {
+        let mut next = index;
+        for axis in (0..next.len()).rev() {
+            next[axis] += 1;
+            if next[axis] < lens[axis] {
+                return Some(next);
+            }
+            next[axis] = 0;
+        }
+        None
+    })
 }
 
 #[cfg(test)]

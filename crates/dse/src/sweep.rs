@@ -6,7 +6,7 @@
 use crate::cache::{EvalCache, PointKey};
 use crate::objective::Objective;
 use crate::pareto::{Objectives, ParetoFrontier};
-use crate::space::{DesignPoint, DesignSpace};
+use crate::space::{AxisIndex, DesignPoint, DesignSpace, GridWalk};
 use fusemax_arch::{AreaModel, EnergyTable};
 use fusemax_model::{attention_report, AttentionReport, AttnWork, ModelParams};
 use fusemax_telemetry::{Event, Recorder, SearchEvent};
@@ -66,7 +66,9 @@ pub struct FrontierGroup {
 pub struct SweepStats {
     /// Points the space enumerated.
     pub candidates: usize,
-    /// Points actually run through the analytical model.
+    /// Points whose cache lookup missed and that were not pruned. A key
+    /// repeated within the space counts at each occurrence, though
+    /// [`Sweeper::sweep`] models it once and shares the evaluation.
     pub evaluated: usize,
     /// Points skipped by dominance pruning (never evaluated).
     pub pruned: usize,
@@ -276,8 +278,9 @@ impl Sweeper {
     }
 
     /// Evaluates one point through the analytical model, bypassing the
-    /// cache. Pure: identical inputs give identical outputs.
-    fn compute(&self, point: &DesignPoint) -> Evaluation {
+    /// cache, and moves the point into its evaluation. Pure: identical
+    /// inputs give identical outputs.
+    fn compute(&self, point: DesignPoint) -> Evaluation {
         let report: AttentionReport = attention_report(
             point.kind,
             &point.workload,
@@ -291,7 +294,7 @@ impl Sweeper {
             latency_s: point.arch.cycles_to_seconds(report.cycles * layers),
             energy_j: report.energy.total_pj() * layers * 1e-12,
             report,
-            point: point.clone(),
+            point,
         }
     }
 
@@ -306,7 +309,7 @@ impl Sweeper {
     /// cache (`false`) — one [`EvalCache::get_or_insert_with`] lock round
     /// instead of a separate `contains` peek.
     pub fn evaluate_classified(&self, point: &DesignPoint) -> (Arc<Evaluation>, bool) {
-        self.cache.get_or_insert_with(PointKey::of(point), || self.compute(point))
+        self.cache.get_or_insert_with(PointKey::of(point), || self.compute(point.clone()))
     }
 
     /// Evaluates `points` through the cache — misses on all cores when
@@ -422,24 +425,25 @@ impl Sweeper {
     /// Fig 12 that plot dominated points too). Results come back in space
     /// order.
     ///
-    /// Two passes: the first looks every point up in the cache, the second
-    /// evaluates the misses. A key that repeats within the space (two
-    /// points with the same model-visible identity) therefore misses at
-    /// each occurrence and counts as evaluated each time; both slots end
-    /// up sharing the first insertion's `Arc`.
+    /// Two passes over the grid: the first looks every point up in the
+    /// cache, the second models the misses in space order. A key that
+    /// repeats within the space (two points with the same model-visible
+    /// identity) therefore misses at each occurrence and counts toward
+    /// [`SweepStats::evaluated`] each time, but it is modeled once: the
+    /// later slots share the first occurrence's `Arc`.
     pub fn sweep(&self, space: &DesignSpace) -> SweepOutcome {
         let start = Instant::now();
-        let points = space.points();
-        let candidates = points.len();
+        let grid = GridWalk::new(space);
+        let candidates = space.len();
 
         // Serve cache hits first so only misses pay for evaluation. This
         // classification loop runs in space order, so the cache events it
         // emits are deterministic.
         let mut slots: Vec<Option<Arc<Evaluation>>> = Vec::with_capacity(candidates);
         let mut evaluated = 0;
-        for (i, point) in points.iter().enumerate() {
+        for (i, index) in grid.indices().enumerate() {
             let tick = i as u64 + 1;
-            match self.cache.get(&PointKey::of(point)) {
+            match self.cache.get(&grid.key(index)) {
                 Some(hit) => {
                     self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                     slots.push(Some(hit));
@@ -455,20 +459,36 @@ impl Sweeper {
         self.recorder
             .emit(|| Event::search(candidates as u64, SearchEvent::FlushBatch { size: evaluated }));
 
-        for (slot, point) in slots.iter_mut().zip(&points) {
+        // One lock for the whole pass, the map grown once for the misses.
+        let mut map = self.cache.map();
+        map.reserve(evaluated);
+        for (slot, index) in slots.iter_mut().zip(grid.indices()) {
             if slot.is_none() {
-                let evaluation = Arc::new(self.compute(point));
-                *slot = Some(self.cache.insert(PointKey::of(point), evaluation));
+                let entry = map
+                    .entry(grid.key(index))
+                    .or_insert_with(|| Arc::new(self.compute(grid.point(index))));
+                *slot = Some(Arc::clone(entry));
             }
         }
+        drop(map);
 
         let evaluations: Vec<Arc<Evaluation>> =
             slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-        let frontiers = group_frontiers(evaluations.iter().cloned(), &self.recorder);
+        let mut groups = Groups::of(space);
+        for (n, (evaluation, index)) in evaluations.iter().zip(grid.indices()).enumerate() {
+            let frontier = groups.frontier(index);
+            let admitted = frontier.insert(Arc::clone(evaluation));
+            self.recorder.emit(|| {
+                Event::search(
+                    n as u64 + 1,
+                    SearchEvent::FrontierInsert { admitted, frontier_len: frontier.len() },
+                )
+            });
+        }
 
         SweepOutcome {
             evaluations,
-            frontiers,
+            frontiers: groups.frontiers,
             stats: SweepStats {
                 candidates,
                 evaluated,
@@ -491,22 +511,19 @@ impl Sweeper {
     /// frontier so far.
     pub fn sweep_pruned(&self, space: &DesignSpace) -> SweepOutcome {
         let start = Instant::now();
-        let mut points = space.points();
-        let candidates = points.len();
-        // Evaluate the strongest configurations first (stable, so the
-        // workload/dimension order is otherwise preserved): a +Binding
-        // design evaluated early is what proves the dominated baselines
-        // not worth evaluating at all.
-        points.sort_by_key(|p| std::cmp::Reverse(p.kind));
+        let grid = GridWalk::new(space);
+        let mut groups = Groups::of(space);
         let mut evaluations = Vec::new();
-        let mut frontiers: Vec<FrontierGroup> = Vec::new();
         let mut pruned = 0usize;
         let mut evaluated = 0usize;
         let mut cache_hits = 0usize;
 
-        for point in points {
-            let group = group_index(&mut frontiers, &point);
-            let key = PointKey::of(&point);
+        // Evaluate the strongest configurations first (otherwise in space
+        // order): a +Binding design evaluated early is what proves the
+        // dominated baselines not worth evaluating at all.
+        for index in grid.strongest_first() {
+            let frontier = groups.frontier(index);
+            let key = grid.key(index);
             let tick = (evaluated + cache_hits) as u64 + 1;
             self.recorder.emit(|| Event::search(tick, SearchEvent::Staged));
             let evaluation = if let Some(hit) = self.cache.get(&key) {
@@ -514,23 +531,21 @@ impl Sweeper {
                 self.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
                 hit
             } else {
-                if !frontiers[group].frontier.admits(&self.lower_bound(&point)) {
+                let point = grid.point(index);
+                if !frontier.admits(&self.lower_bound(&point)) {
                     pruned += 1;
                     self.recorder.emit(|| Event::search(tick, SearchEvent::ScreenedOut));
                     continue;
                 }
                 evaluated += 1;
                 self.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
-                self.cache.insert(key, Arc::new(self.compute(&point)))
+                self.cache.insert(key, Arc::new(self.compute(point)))
             };
-            let admitted = frontiers[group].frontier.insert(Arc::clone(&evaluation));
+            let admitted = frontier.insert(Arc::clone(&evaluation));
             self.recorder.emit(|| {
                 Event::search(
                     tick,
-                    SearchEvent::FrontierInsert {
-                        admitted,
-                        frontier_len: frontiers[group].frontier.len(),
-                    },
+                    SearchEvent::FrontierInsert { admitted, frontier_len: frontier.len() },
                 )
             });
             evaluations.push(evaluation);
@@ -538,9 +553,9 @@ impl Sweeper {
 
         SweepOutcome {
             evaluations,
-            frontiers,
+            frontiers: groups.frontiers,
             stats: SweepStats {
-                candidates,
+                candidates: space.len(),
                 evaluated,
                 pruned,
                 cache_hits,
@@ -550,15 +565,18 @@ impl Sweeper {
     }
 }
 
-/// Finds or creates the frontier group of `point`'s `(workload, seq_len)`.
-pub(crate) fn group_index(frontiers: &mut Vec<FrontierGroup>, point: &DesignPoint) -> usize {
-    let model = point.workload.name;
-    match frontiers.iter().position(|g| g.model == model && g.seq_len == point.seq_len) {
+/// Finds or creates the frontier group of `(model, seq_len)`.
+pub(crate) fn group_index(
+    frontiers: &mut Vec<FrontierGroup>,
+    model: &str,
+    seq_len: usize,
+) -> usize {
+    match frontiers.iter().position(|g| g.model == model && g.seq_len == seq_len) {
         Some(i) => i,
         None => {
             frontiers.push(FrontierGroup {
                 model: model.to_string(),
-                seq_len: point.seq_len,
+                seq_len,
                 frontier: ParetoFrontier::new(),
             });
             frontiers.len() - 1
@@ -566,24 +584,38 @@ pub(crate) fn group_index(frontiers: &mut Vec<FrontierGroup>, point: &DesignPoin
     }
 }
 
-/// Builds per-group frontiers from finished evaluations, emitting one
-/// `FrontierInsert` per offer (in evaluation order) when tracing.
-fn group_frontiers(
-    evaluations: impl Iterator<Item = Arc<Evaluation>>,
-    recorder: &Recorder,
-) -> Vec<FrontierGroup> {
-    let mut frontiers: Vec<FrontierGroup> = Vec::new();
-    for (n, evaluation) in evaluations.enumerate() {
-        let i = group_index(&mut frontiers, &evaluation.point);
-        let admitted = frontiers[i].frontier.insert(evaluation);
-        recorder.emit(|| {
-            Event::search(
-                n as u64 + 1,
-                SearchEvent::FrontierInsert { admitted, frontier_len: frontiers[i].frontier.len() },
-            )
-        });
+/// A sweep's frontier groups, found by grid index instead of by name.
+struct Groups {
+    /// In first-seen order. Both sweep orders meet the `(workload,
+    /// seq_len)` index pairs in index order, so this is the order a
+    /// point-by-point [`group_index`] would create them in.
+    frontiers: Vec<FrontierGroup>,
+    /// The group of each index pair, at `workload × seq_lens + seq_len`.
+    of_pair: Vec<usize>,
+    seq_lens: usize,
+}
+
+impl Groups {
+    /// No groups for an empty space, which has no points to group.
+    fn of(space: &DesignSpace) -> Self {
+        let mut frontiers = Vec::new();
+        let of_pair = if space.is_empty() {
+            Vec::new()
+        } else {
+            space
+                .workloads()
+                .iter()
+                .flat_map(|w| space.seq_lens().iter().map(move |&seq_len| (w.name, seq_len)))
+                .map(|(model, seq_len)| group_index(&mut frontiers, model, seq_len))
+                .collect()
+        };
+        Groups { frontiers, of_pair, seq_lens: space.seq_lens().len() }
     }
-    frontiers
+
+    /// The running frontier of the group `index` belongs to.
+    fn frontier(&mut self, [wi, si, ..]: AxisIndex) -> &mut ParetoFrontier<Arc<Evaluation>, 3> {
+        &mut self.frontiers[self.of_pair[wi * self.seq_lens + si]].frontier
+    }
 }
 
 #[cfg(test)]
@@ -642,8 +674,8 @@ mod tests {
     fn a_key_repeated_within_one_sweep_misses_at_each_occurrence() {
         // Slots 0/1 (FLAT) and 3/4 (+Binding) are dim-64 twins with one key
         // each. The sweep looks every point up before it evaluates any, so
-        // a cold sweep misses on both twins, evaluates both, and keeps the
-        // first insertion for both slots.
+        // a cold sweep misses on both twins and counts both as evaluated,
+        // then models each key once and shares it between the twins.
         use fusemax_telemetry::VecSink;
         let space = small_space().with_array_dims([64, 64, 128]);
         let (recorder, sink) = VecSink::recorder();
@@ -672,6 +704,115 @@ mod tests {
         let warm = sweeper.sweep(&space);
         assert_eq!(warm.stats.cache_hits, 6);
         assert_eq!(warm.stats.evaluated, 0);
+    }
+
+    /// `sweep_pruned` as it was before the grid walk: materialize every
+    /// point, stable-sort the strongest kinds first, and find each point's
+    /// group by name. The oracle for the walk's evaluation order.
+    fn sweep_pruned_reference(sweeper: &Sweeper, space: &DesignSpace) -> SweepOutcome {
+        let mut points = space.points();
+        let candidates = points.len();
+        points.sort_by_key(|p| std::cmp::Reverse(p.kind));
+        let mut evaluations = Vec::new();
+        let mut frontiers: Vec<FrontierGroup> = Vec::new();
+        let (mut pruned, mut evaluated, mut cache_hits) = (0, 0, 0);
+        for point in points {
+            let group = group_index(&mut frontiers, point.workload.name, point.seq_len);
+            let key = PointKey::of(&point);
+            let tick = (evaluated + cache_hits) as u64 + 1;
+            sweeper.recorder.emit(|| Event::search(tick, SearchEvent::Staged));
+            let evaluation = if let Some(hit) = sweeper.cache.get(&key) {
+                cache_hits += 1;
+                sweeper.recorder.emit(|| Event::search(tick, SearchEvent::CacheHit));
+                hit
+            } else {
+                if !frontiers[group].frontier.admits(&sweeper.lower_bound(&point)) {
+                    pruned += 1;
+                    sweeper.recorder.emit(|| Event::search(tick, SearchEvent::ScreenedOut));
+                    continue;
+                }
+                evaluated += 1;
+                sweeper.recorder.emit(|| Event::search(tick, SearchEvent::CacheMiss));
+                sweeper.cache.insert(key, Arc::new(sweeper.compute(point)))
+            };
+            let admitted = frontiers[group].frontier.insert(Arc::clone(&evaluation));
+            let frontier_len = frontiers[group].frontier.len();
+            sweeper.recorder.emit(|| {
+                Event::search(tick, SearchEvent::FrontierInsert { admitted, frontier_len })
+            });
+            evaluations.push(evaluation);
+        }
+        SweepOutcome {
+            evaluations,
+            frontiers,
+            stats: SweepStats { candidates, evaluated, pruned, cache_hits, ..Default::default() },
+        }
+    }
+
+    /// Everything of an outcome that must match bit for bit: each
+    /// evaluation's point and objective bits, each group's frontier, and
+    /// the stats but for wall time.
+    fn fingerprint(outcome: &SweepOutcome) -> impl PartialEq + std::fmt::Debug {
+        let bits = |e: &Arc<Evaluation>| (e.point.clone(), e.objectives().map(f64::to_bits));
+        let s = &outcome.stats;
+        (
+            outcome.evaluations.iter().map(bits).collect::<Vec<_>>(),
+            outcome
+                .frontiers
+                .iter()
+                .map(|g| {
+                    (g.model.clone(), g.seq_len, g.frontier.points().iter().map(bits).collect())
+                })
+                .collect::<Vec<(String, usize, Vec<_>)>>(),
+            [s.candidates, s.evaluated, s.pruned, s.cache_hits],
+        )
+    }
+
+    #[test]
+    fn pruned_walk_matches_the_materialize_and_sort_reference() {
+        // An unsorted kinds axis that repeats FLAT, a repeated length, and
+        // two clocks that alias: both families run at 940 MHz stock.
+        use fusemax_telemetry::VecSink;
+        let space = DesignSpace::new()
+            .with_array_dims([32, 64, 128, 256])
+            .with_kinds([
+                ConfigKind::Flat,
+                ConfigKind::FuseMaxBinding,
+                ConfigKind::Flat,
+                ConfigKind::Unfused,
+            ])
+            .with_workloads([TransformerConfig::bert(), TransformerConfig::t5()])
+            .with_seq_lens([1 << 12, 1 << 16, 1 << 12])
+            .with_frequencies_hz([None, Some(940e6)]);
+        let (walk_recorder, walk_sink) = VecSink::recorder();
+        let (reference_recorder, reference_sink) = VecSink::recorder();
+        let walk = Sweeper::new(ModelParams::default()).with_recorder(walk_recorder);
+        let reference = Sweeper::new(ModelParams::default()).with_recorder(reference_recorder);
+        for pass in ["cold", "warm"] {
+            let got = walk.sweep_pruned(&space);
+            let want = sweep_pruned_reference(&reference, &space);
+            assert_eq!(fingerprint(&got), fingerprint(&want), "{pass} sweep");
+            assert_eq!(walk_sink.events(), reference_sink.events(), "{pass} events");
+            assert!(got.stats.pruned > 0 && got.stats.cache_hits > 0, "{pass}: {:?}", got.stats);
+            let counters = |s: &Sweeper| (s.cache().hits(), s.cache().misses(), s.cache().len());
+            assert_eq!(counters(&walk), counters(&reference), "{pass} cache");
+        }
+    }
+
+    #[test]
+    fn an_empty_space_sweeps_to_nothing_whatever_its_other_axes_hold() {
+        // No workload empties the space; the zero array dimension must
+        // then never reach `arch_for`, which rejects it.
+        let space = DesignSpace::new().with_array_dims([0]).with_workloads([]);
+        let sweeper = Sweeper::new(ModelParams::default());
+        for outcome in [sweeper.sweep(&space), sweeper.sweep_pruned(&space)] {
+            assert!(outcome.evaluations.is_empty() && outcome.frontiers.is_empty());
+            let s = outcome.stats;
+            assert_eq!([s.candidates, s.evaluated, s.pruned, s.cache_hits], [0; 4]);
+        }
+        assert!(sweeper.cache().is_empty());
+        assert!(space.points().is_empty());
+        assert!(!space.is_on_grid(&DesignSpace::new().point_at([0; 8])));
     }
 
     #[test]

@@ -259,8 +259,7 @@ impl E2eReport {
         let m = Machine::of(arch);
         let layers = self.layers as f64;
         let split = exact_split(self.cycles, &[self.attention.cycles * layers]);
-        let scaled: Vec<(&'static str, f64)> =
-            self.attention.einsum_2d.iter().map(|(n, c)| (*n, c * layers)).collect();
+        let scaled = self.attention.einsum_2d.map(|(n, c)| (n, c * layers));
         let attention = CostNode {
             label: "attention".into(),
             total: split[0],

@@ -120,13 +120,7 @@ pub(crate) fn model(work: &AttnWork, arch: &ArchConfig, params: &ModelParams) ->
         dram_bytes,
         gbuf_bytes,
         energy,
-        einsum_2d: vec![
-            ("QK", c2d_qk),
-            ("LM", 0.0),
-            ("SLN", 0.0),
-            ("SLD", 0.0),
-            ("SLNV/AV", c2d_av),
-        ],
+        einsum_2d: [("QK", c2d_qk), ("LM", 0.0), ("SLN", 0.0), ("SLD", 0.0), ("SLNV/AV", c2d_av)],
     }
 }
 

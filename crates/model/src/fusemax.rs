@@ -65,13 +65,7 @@ pub(crate) fn cascade_on_flat(
         dram_bytes,
         gbuf_bytes,
         energy,
-        einsum_2d: vec![
-            ("QK", c2d_qk),
-            ("LM", 0.0),
-            ("SLN", 0.0),
-            ("SLD", 0.0),
-            ("SLNV/AV", c2d_av),
-        ],
+        einsum_2d: [("QK", c2d_qk), ("LM", 0.0), ("SLN", 0.0), ("SLD", 0.0), ("SLNV/AV", c2d_av)],
     }
 }
 
@@ -204,7 +198,7 @@ fn build_report(
         dram_bytes,
         gbuf_bytes,
         energy,
-        einsum_2d: vec![
+        einsum_2d: [
             ("QK", tiles * split[0]),
             ("LM", tiles * split[1]),
             ("SLN", tiles * split[2]),

@@ -65,7 +65,7 @@ pub struct AttentionReport {
     pub energy: EnergyBreakdown,
     /// 2D-array busy cycles attributed to each Einsum group (Fig 7):
     /// `QK`, `LM`, `SLN`, `SLD`, `SLNV/AV`.
-    pub einsum_2d: Vec<(&'static str, f64)>,
+    pub einsum_2d: [(&'static str, f64); 5],
 }
 
 impl AttentionReport {
@@ -135,7 +135,7 @@ mod tests {
             dram_bytes: 0.0,
             gbuf_bytes: 0.0,
             energy: EnergyBreakdown::default(),
-            einsum_2d: vec![],
+            einsum_2d: ["QK", "LM", "SLN", "SLD", "SLNV/AV"].map(|name| (name, 0.0)),
         };
         assert_eq!(r.util_2d(), 0.0);
         assert_eq!(r.util_1d(), 0.0);

@@ -19,7 +19,7 @@ use fusemax::dse::search::{
     convergence, hypervolume_fraction, record_convergence, GeneticSearch, RandomSearch,
     SearchBudget, SearchStrategy, SimulatedAnnealing, SnapPolicy,
 };
-use fusemax::dse::{record_cache_metrics, DesignSpace, Sweeper};
+use fusemax::dse::{DesignSpace, Sweeper};
 use fusemax::model::{ConfigKind, ModelParams};
 use fusemax::telemetry::{search_trace_json, Event, Metrics, VecSink};
 use fusemax::workloads::TransformerConfig;
@@ -148,9 +148,10 @@ fn main() {
         let refs: Vec<(&str, &[Event])> =
             tracks.iter().map(|(name, events)| (name.as_str(), events.as_slice())).collect();
         std::fs::write(path, search_trace_json(&refs)).expect("write trace file");
+        // The snapshot summarizes the traced runs alone: folding in the
+        // exhaustive sweeper's cache would count another run's lookups.
         let all: Vec<Event> = tracks.iter().flat_map(|(_, events)| events.clone()).collect();
-        let mut metrics = Metrics::from_events(&all);
-        record_cache_metrics(sweeper.cache(), &mut metrics);
+        let metrics = Metrics::from_events(&all);
         let summary = std::path::Path::new("target").join("telemetry_summary.json");
         std::fs::create_dir_all("target").expect("create target/");
         std::fs::write(&summary, metrics.summary_json()).expect("write telemetry summary");
